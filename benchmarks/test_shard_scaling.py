@@ -5,7 +5,8 @@ against a 6 ms-per-call oracle must run at least **2.5x faster** on a
 4-shard :class:`~repro.service.ShardedEngine` than on a single-process
 engine, with answers identical query for query and every shard's
 resolved-edge sequence byte-identical to a single-process engine run on the
-same candidate substream.
+same candidate substream and seeded with the same store prefix before each
+job (shards merge the rows their peers published before every job).
 
 The oracle *sleeps* rather than burns CPU — that is the paper's regime (an
 expensive distance call is dominated by I/O / external computation, not
@@ -72,10 +73,15 @@ def _workload():
 
 
 def _timed(engine, workload):
+    """Answers, seconds, and the store prefix published to each job."""
+    prefixes = []
+    answers = []
     started = time.perf_counter()
-    answers = [engine.run(spec) for spec in workload]
+    for spec in workload:
+        prefixes.append(engine.store.num_edges)
+        answers.append(engine.run(spec).value)
     elapsed = time.perf_counter() - started
-    return [r.value for r in answers], elapsed
+    return answers, elapsed, prefixes
 
 
 def test_four_shards_beat_single_process_2_5x(report):
@@ -84,25 +90,29 @@ def test_four_shards_beat_single_process_2_5x(report):
 
     single = ShardedEngine(handle, num_shards=1, provider="none")
     try:
-        single_answers, single_seconds = _timed(single, workload)
+        single_answers, single_seconds, _ = _timed(single, workload)
     finally:
         single.close()
 
     sharded = ShardedEngine(handle, num_shards=SHARDS, provider="none")
     try:
-        sharded_answers, sharded_seconds = _timed(sharded, workload)
+        sharded_answers, sharded_seconds, prefixes = _timed(sharded, workload)
 
         # Answers must be identical, query for query.
         assert sharded_answers == single_answers
 
         # Per-shard resolved-edge sequences must be byte-identical to a
-        # single-process engine run on the same candidate substream.
+        # single-process engine run on the same candidate substream and
+        # seeded with the same store prefix before each job.
         space = handle.space()
         for shard, region in zip(sharded._shards, sharded.plan.regions):
             rows = sharded._call(shard, {"op": "edges", "start": 0})["edges"]
             ref = ProximityEngine.for_space(space, provider="none", job_workers=1)
             try:
-                for spec in workload:
+                merged = 0
+                for spec, prefix in zip(workload, prefixes):
+                    ref.adopt_store(sharded.store, start=merged, stop=prefix)
+                    merged = prefix
                     params = dict(spec.params)
                     params["candidates"] = list(region)
                     ref.run(JobSpec(kind="knn", params=params))

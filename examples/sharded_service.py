@@ -68,7 +68,7 @@ def main() -> None:
         # 3. Observability: aggregate + per-shard labelled series.
         aggregate = engine.stats()["aggregate"]
         print(f"aggregate: {aggregate['oracle_calls']:,} oracle calls, "
-              f"{aggregate['graph_edges']:,} pooled edges in the shared store")
+              f"{engine.store.num_edges:,} pooled edges in the shared store")
         labelled = [
             line for line in engine.render_metrics().splitlines()
             if 'shard="2"' in line and line.startswith("repro_oracle_calls_total")

@@ -289,6 +289,32 @@ class CSRStore:
             for a, b, w in zip(ids_i, ids_j, weights):
                 yield int(a), int(b), float(w)
 
+    def edge_rows(self, start: int, stop: int) -> List[Tuple[int, int, float]]:
+        """Visible rows ``[start, stop)`` as ``(i, j, weight)`` tuples.
+
+        Slices only the segments the range overlaps, so a reader catching
+        up on a writer's newest rows never re-walks the rows it has.
+        """
+        self._check_open()
+        if not 0 <= start <= stop <= self._num_edges:
+            raise ValueError(
+                f"rows [{start}, {stop}) are outside the visible prefix "
+                f"[0, {self._num_edges}); refresh() first"
+            )
+        capacity = self.segment_capacity
+        rows: List[Tuple[int, int, float]] = []
+        while start < stop:
+            seg_idx, offset = divmod(start, capacity)
+            seg = self._segments[seg_idx]
+            end = min(capacity, offset + stop - start)
+            rows.extend(zip(
+                seg.i[offset:end].tolist(),
+                seg.j[offset:end].tolist(),
+                seg.w[offset:end].tolist(),
+            ))
+            start += end - offset
+        return rows
+
     def edge_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The visible prefix as three flat arrays ``(i, j, w)``.
 
@@ -412,7 +438,8 @@ class CSRStore:
     def to_graph(self):
         """Replay the visible prefix into a fresh, store-bound graph.
 
-        The returned graph's :meth:`~repro.core.partial_graph.
+        Writer handles only: a graph binds to a store it appends to.  The
+        returned graph's :meth:`~repro.core.partial_graph.
         PartialDistanceGraph.edge_arrays` serves these shared columns
         directly (zero-copy) until the graph grows past the store.
         """

@@ -39,7 +39,6 @@ recompute of surviving state.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -232,9 +231,8 @@ class PartialDistanceGraph:
         self._node_epochs[key[1]] += 1
         if self._edge_buf is not None:
             self._append_edge_row(key[0], key[1], distance)
-        store = self._store
-        if store is not None and store.writable:
-            store.append(key[0], key[1], distance)
+        if self._store is not None:
+            self._store.append(key[0], key[1], distance)
         for listener in self._edge_listeners:
             listener(key[0], key[1], distance)
         return True
@@ -247,24 +245,30 @@ class PartialDistanceGraph:
         return self._store
 
     def attach_store(self, store) -> None:
-        """Bind a :class:`~repro.core.csr_store.CSRStore` to this graph.
+        """Bind a writable :class:`~repro.core.csr_store.CSRStore` to this graph.
 
         After binding, store rows ``[0, num_edges)`` mirror this graph's
-        edges in insertion order: a *writable* store receives every future
-        :meth:`add_edge` as an append (and is backfilled with the graph's
-        current edges if it is empty), while a *read-only* store is the
-        source the graph replays from — new rows published by the writing
-        process land here via :meth:`sync_from_store`.  Store edges absent
-        from the graph are merged in first; a weight conflict raises
-        ``ValueError`` and leaves no binding.
+        edges in insertion order and every future :meth:`add_edge` lands
+        as an append.  Store edges absent from the graph are merged in
+        first and an empty store is backfilled with the graph's current
+        edges; a weight conflict raises ``ValueError`` and leaves no
+        binding.  A read-only store is refused (``PermissionError``): rows
+        its writer publishes later would make the row count match this
+        graph's while the edge sets differ.  Engines merge such rows
+        through :meth:`~repro.service.engine.ProximityEngine.adopt_store`.
         """
         if self._store is not None:
             raise ValueError("graph already has a bound store")
+        if not store.writable:
+            raise PermissionError(
+                f"CSR store {store.name!r} is read-only; only its writer may "
+                "bind it to a graph"
+            )
         if store.n != self._n:
             raise ValueError(
                 f"store covers {store.n} objects but the graph has {self._n}"
             )
-        backfill = store.writable and store.num_edges == 0 and self._weights
+        backfill = store.num_edges == 0 and self._weights
         for i, j, w in store.iter_edges():
             existing = self._weights.get(canonical_pair(i, j))
             if existing is not None and existing != w:
@@ -280,29 +284,9 @@ class PartialDistanceGraph:
         if store.num_edges != len(self._weights):
             raise ValueError(
                 f"cannot bind: store holds {store.num_edges} edges but the "
-                f"graph has {len(self._weights)} (read-only stores must "
-                "cover every graph edge)"
+                f"graph has {len(self._weights)}"
             )
         self._store = store
-
-    def sync_from_store(self) -> int:
-        """Replay rows a writer published since the last sync; return the count.
-
-        Only meaningful on a graph bound to a *read-only* store (shard
-        processes attached to another process's store); a writable store is
-        fed by this graph and is already current.
-        """
-        store = self._store
-        if store is None:
-            raise ValueError("no store bound to this graph")
-        if store.writable:
-            return 0
-        store.refresh()
-        added = 0
-        for i, j, w in islice(store.iter_edges(), len(self._weights), None):
-            if self.add_edge(i, j, w):
-                added += 1
-        return added
 
     def subscribe_edges(self, listener: Callable[[int, int, float], None]) -> None:
         """Register ``listener(i, j, distance)`` to run after every new edge.

@@ -48,7 +48,7 @@ import math
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.algorithms import (
     k_nearest,
@@ -68,7 +68,7 @@ from repro.core.exceptions import (
 from repro.core.locking import ReadWriteLock
 from repro.core.oracle import ComparisonOracle, DistanceOracle, canonical_pair
 from repro.core.partial_graph import PartialDistanceGraph
-from repro.core.persistence import load_archive, save_graph, seed_oracle_cache
+from repro.core.persistence import load_archive, save_graph
 from repro.core.resolver import ResolverStats, SmartResolver
 from repro.core.tiering import TieredOracle, WeakOracle
 from repro.dynamic import (
@@ -582,7 +582,8 @@ class ProximityEngine:
             "repro_snapshots_written_total", "Warm-state snapshots written to disk."
         )
         self._m_restored = r.counter(
-            "repro_restored_edges_total", "Edges merged from restored snapshots."
+            "repro_restored_edges_total",
+            "Edges merged free of charge from snapshots or a shared store.",
         )
         self._m_latency = r.histogram(
             "repro_job_latency_seconds",
@@ -1056,10 +1057,6 @@ class ProximityEngine:
             return result
         with self._rw.write_locked():
             with self._oracle_lock:
-                if self.graph.store is not None:
-                    # A bound CSR store mirrors an append-only history; a
-                    # mutating engine owns its graph outright.
-                    self.graph.detach_store()
                 for mut in batch:
                     if mut.kind == "remove":
                         obj_id = int(mut.obj_id)
@@ -1309,7 +1306,6 @@ class ProximityEngine:
         mine = self.current_fingerprint()
         if mine is not None and theirs is not None and theirs != mine:
             raise SnapshotMismatchError(mine, theirs)
-        added = 0
         with self._rw.write_locked():
             if archive.graph.mutated and (self.graph.num_edges or self.graph.mutated):
                 # A mutated (v3) snapshot carries an alive mask and monotone
@@ -1319,53 +1315,40 @@ class ProximityEngine:
                     f"live graph at epoch {self.graph.epoch} "
                     f"with {self.graph.num_edges} edges",
                 )
-            # Verify before mutating: an archive whose edges contradict the
-            # live graph is from a different dataset, fingerprint or not.
-            for i, j, w in archive.graph.edges():
-                existing = self.graph.get(i, j)
-                if existing is not None and existing != w:
-                    raise SnapshotMismatchError(
-                        f"edge ({i},{j})={existing}",
-                        f"edge ({i},{j})={w}",
-                    )
-            with self._oracle_lock:
-                seed_oracle_cache(self.oracle, archive.graph)
-                for i, j, w in archive.graph.edges():
-                    if self.graph.get(i, j) is not None:
-                        continue
-                    self.graph.add_edge(i, j, w)
-                    self.bounder.notify_resolved(i, j, w)
-                    added += 1
-                if archive.graph.mutated:
-                    n = archive.graph.n
-                    self.graph.restore_mutation_state(
-                        [archive.graph.is_alive(u) for u in range(n)],
-                        archive.graph.epoch,
-                        [archive.graph.node_epoch(u) for u in range(n)],
-                    )
+            added = self._merge_paid_edges(list(archive.graph.edges()))
+            if archive.graph.mutated:
+                n = archive.graph.n
+                self.graph.restore_mutation_state(
+                    [archive.graph.is_alive(u) for u in range(n)],
+                    archive.graph.epoch,
+                    [archive.graph.node_epoch(u) for u in range(n)],
+                )
         persisted = (archive.metadata or {}).get("indexes", {})
         if persisted:
             with self._indexes_lock:
                 for name, payload in persisted.items():
                     self.indexes[str(name)] = NavigableGraph.from_dict(payload)
-        if added:
-            self._m_restored.inc(added)
         return added
 
     def adopt_store(
-        self, store, expected_fingerprint: Optional[str] = None
+        self,
+        store,
+        expected_fingerprint: Optional[str] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> int:
-        """Seed the engine from a shared-memory CSR store, free of charge.
+        """Merge rows ``[start, stop)`` of a CSR store, free of charge.
 
-        The shard-process warm start: attach a
-        :class:`~repro.core.csr_store.CSRStore` another process owns (or a
-        writable one this process created), merge its visible edges into
-        the graph and the oracle cache, and — when the store then exactly
-        mirrors the graph — bind it so ``graph.edge_arrays()`` serves the
-        shared columns zero-copy.  ``expected_fingerprint`` overrides
-        ``self.fingerprint`` for the metadata check (sharded engines carry
-        per-shard fingerprints while the store records the base dataset's).
-        Returns the number of newly added edges.
+        A shard process adopts its coordinator's store at start-up and,
+        before each job, the rows its peers published since.  The store is
+        a :class:`~repro.core.csr_store.CSRStore` another process owns
+        (attached read-only) or one this process created; ``stop`` defaults
+        to the rows visible to this handle.  The graph never binds to the
+        store: its own edge columns stay the only ones its bounds read.
+        ``expected_fingerprint`` overrides ``self.fingerprint`` for the
+        metadata check (sharded engines carry per-shard fingerprints while
+        the store records the base dataset's).  Returns the number of newly
+        added edges.
         """
         if store.n != self.oracle.n:
             raise SnapshotMismatchError(
@@ -1377,28 +1360,35 @@ class ProximityEngine:
         theirs = store.metadata.get("fingerprint") if store.metadata else None
         if expected is not None and theirs is not None and theirs != expected:
             raise SnapshotMismatchError(expected, str(theirs))
-        added = 0
+        rows = store.edge_rows(start, store.num_edges if stop is None else stop)
         with self._rw.write_locked():
-            for i, j, w in store.iter_edges():
-                existing = self.graph.get(i, j)
-                if existing is not None and existing != w:
-                    raise SnapshotMismatchError(
-                        f"edge ({i},{j})={existing}", f"edge ({i},{j})={w}"
-                    )
-            with self._oracle_lock:
-                for i, j, w in store.iter_edges():
-                    self.oracle.seed(i, j, w)
-                    if self.graph.get(i, j) is None:
-                        self.graph.add_edge(i, j, w)
-                        self.bounder.notify_resolved(i, j, w)
-                        added += 1
-                if (
-                    self.graph.store is None
-                    and store.num_edges == self.graph.num_edges
-                ):
-                    self.graph.attach_store(store)
-        if added:
-            self._m_restored.inc(added)
+            return self._merge_paid_edges(rows)
+
+    def _merge_paid_edges(self, edges: Sequence[Tuple[int, int, float]]) -> int:
+        """Commit distances another run already paid for; returns edges added.
+
+        The one free-edge path (snapshot restore, store adoption, the
+        per-job merge of peer shards' rows).  Every edge is checked against
+        the live graph first: a weight conflict means another dataset, so
+        it raises :class:`~repro.core.exceptions.SnapshotMismatchError`
+        before anything changes.  Then each edge seeds the oracle cache,
+        and each novel one is added to the graph and announced to the bound
+        provider.  The caller holds the exclusive lock.
+        """
+        for i, j, w in edges:
+            existing = self.graph.get(i, j)
+            if existing is not None and existing != w:
+                raise SnapshotMismatchError(
+                    f"edge ({i},{j})={existing}", f"edge ({i},{j})={w}"
+                )
+        added = 0
+        with self._oracle_lock:
+            for i, j, w in edges:
+                self.oracle.seed(i, j, w)
+                if self.graph.add_edge(i, j, w):
+                    self.bounder.notify_resolved(i, j, w)
+                    added += 1
+        self._m_restored.inc(added)
         return added
 
     def _on_edge(self, i: int, j: int, distance: float) -> None:

@@ -16,16 +16,23 @@ decomposes along it), and scatter-gathers point queries across them:
 
 Shared warm state travels through a
 :class:`~repro.core.csr_store.CSRStore`: the coordinator owns the writable
-store (optionally loaded from a v2 snapshot archive), every shard process
-attaches it read-only at start — zero-copy — and adopts its edges for
-free, and after each job the coordinator drains the participating shards'
-novel edges back into the store, so the store always holds the union of
-everything any shard has paid for.
+store (optionally loaded from a v2 snapshot archive) and every shard
+process attaches it read-only at start — zero-copy — and adopts its edges
+for free.  Every ``submit`` message carries the store's published edge
+count, and before the job the shard merges the rows its peers published
+since its last job, so each shard's bounds see the whole graph paid for so
+far and no shard pays again for a pair a peer already bought.  The submit
+reply carries the edges the job charged (never the merged rows), and the
+coordinator appends the novel ones to the store: the store holds the
+union of everything any shard has paid for.
 
-Exactness contract: each shard's resolved-edge *sequence* is byte-identical
-to a single-process engine fed the same substream — shards run one job
-worker, receive no foreign edges mid-run, and share nothing but the
-immutable adopted prefix.
+Exactness contract: answers are identical to a single-process engine's.
+Each shard's *charged* edge sequence equals that of a single-process
+engine fed the same candidate substream and seeded with the same store
+prefix before each job — shards run one job worker and merge exactly the
+prefix named in the message, never rows that arrive mid-job.  Merged rows
+are exact distances the same oracle returned; weak-tier and stretch
+estimates are never committed, so they never reach the store.
 
 Observability: :meth:`ShardedEngine.render_metrics` renders every shard's
 registry in the shard process, stamps ``{shard="k"}`` onto the samples
@@ -41,8 +48,9 @@ engines assign identical ids and stay aligned.  The coordinator keeps a
 mutable copy of the plan's regions for scatter routing (removed ids leave
 their region, inserted ids join their slot's region, brand-new slots go
 round-robin), and the append-only shared CSR store is declared *stale*
-after the first batch: draining stops and snapshots skip the store
-archive, because an append-only store cannot tombstone.
+from the first batch on: shards merge nothing more, draining stops and
+snapshots skip the store archive, because an append-only store cannot
+tombstone.
 """
 
 from __future__ import annotations
@@ -217,9 +225,14 @@ def _shard_main(conn, config: ShardConfig) -> None:
             fingerprint=config.shard_fingerprint,
             weak_oracle=config.weak_oracle or None,
         )
+        #: Store rows merged so far; ``None`` without a store and once a
+        #: mutation batch ran here (the append-only store may then name
+        #: dead or recycled ids).
+        merged: Optional[int] = None
         if config.store_name:
             store = CSRStore.attach(config.store_name)
             engine.adopt_store(store, expected_fingerprint=config.base_fingerprint)
+            merged = store.num_edges
         conn.send({"ok": True, "ready": True, "adopted": engine.graph.num_edges})
         while True:
             try:
@@ -231,8 +244,17 @@ def _shard_main(conn, config: ShardConfig) -> None:
                 if op == "ping":
                     conn.send({"ok": True, "op": "ping", "shard": config.shard})
                 elif op == "submit":
+                    published = msg.get("store_edges")
+                    if merged is not None and published is not None and published > merged:
+                        store.refresh()
+                        engine.adopt_store(store, start=merged, stop=published)
+                        merged = published
+                    start = engine.graph.num_edges
                     result = engine.run(msg["spec"], timeout=msg.get("timeout"))
-                    conn.send({"ok": True, "result": result})
+                    rows, total = _edge_rows(engine, start)
+                    conn.send(
+                        {"ok": True, "result": result, "edges": rows, "total": total}
+                    )
                 elif op == "stats":
                     conn.send(
                         {"ok": True, "stats": engine.snapshot_stats().to_dict()}
@@ -242,17 +264,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
                 elif op == "indexes":
                     conn.send({"ok": True, "indexes": sorted(engine.indexes)})
                 elif op == "edges":
-                    start = int(msg.get("start", 0))
-                    with engine._rw.read_locked():
-                        i, j, w = engine.graph.edge_arrays()
-                        rows = list(
-                            zip(
-                                i[start:].tolist(),
-                                j[start:].tolist(),
-                                w[start:].tolist(),
-                            )
-                        )
-                        total = len(i)
+                    rows, total = _edge_rows(engine, int(msg.get("start", 0)))
                     conn.send({"ok": True, "edges": rows, "total": total})
                 elif op == "snapshot":
                     conn.send({"ok": True, "path": engine.snapshot(msg["path"])})
@@ -264,6 +276,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
                     batch = [
                         mutation_from_dict(m) for m in msg.get("mutations", [])
                     ]
+                    merged = None
                     outcome = engine.apply_mutations(batch)
                     conn.send({"ok": True, "result": outcome.to_dict()})
                 elif op == "subscribe":
@@ -318,6 +331,14 @@ def _shard_main(conn, config: ShardConfig) -> None:
         if store is not None:
             store.close()
         conn.close()
+
+
+def _edge_rows(engine, start: int) -> Tuple[List[Tuple[int, int, float]], int]:
+    """The engine graph's edges from index ``start`` on, plus its edge count."""
+    with engine._rw.read_locked():
+        i, j, w = engine.graph.edge_arrays()
+        rows = list(zip(i[start:].tolist(), j[start:].tolist(), w[start:].tolist()))
+        return rows, len(i)
 
 
 @dataclass
@@ -498,11 +519,20 @@ class ShardedEngine:
 
     # -- shard RPC -----------------------------------------------------------
 
-    def _call(self, shard: _Shard, message: Dict[str, Any]) -> Dict[str, Any]:
-        """One request/response round-trip on a shard's pipe (serialised)."""
+    def _call(
+        self, shard: _Shard, message: Dict[str, Any], publish: bool = False
+    ) -> Dict[str, Any]:
+        """One request/response round-trip on a shard's pipe (serialised).
+
+        ``publish`` stamps the store's edge count on the message as
+        ``store_edges`` under the shard's lock, so the prefix each shard
+        is told to merge only grows; a stale store publishes nothing.
+        """
         with shard.lock:
             if not shard.process.is_alive():
                 raise ConnectionError(f"shard {shard.index} process is dead")
+            if publish and not self._store_stale:
+                message["store_edges"] = self.store.num_edges
             shard.conn.send(message)
             reply = shard.conn.recv()
         if not reply.get("ok", False):
@@ -572,10 +602,16 @@ class ShardedEngine:
             shard = self._next_owner()
         self._m_jobs.labels(mode="global").inc()
         self._m_shard_jobs.labels(shard=str(shard.index)).inc()
+        return self._submit(shard, spec, timeout)
+
+    def _submit(
+        self, shard: _Shard, spec: JobSpec, timeout: Optional[float]
+    ) -> JobResult:
+        """Run one job on a shard and store the edges it charged."""
         reply = self._call(
-            shard, {"op": "submit", "spec": spec, "timeout": timeout}
+            shard, {"op": "submit", "spec": spec, "timeout": timeout}, publish=True
         )
-        self._drain_edges([shard])
+        self._store_rows(shard, reply)
         return reply["result"]
 
     def _scatter_parts(self, spec: JobSpec) -> List[Tuple[_Shard, JobSpec]]:
@@ -621,15 +657,8 @@ class ShardedEngine:
         futures = []
         for shard, shard_spec in parts:
             self._m_shard_jobs.labels(shard=str(shard.index)).inc()
-            futures.append(
-                self._pool.submit(
-                    self._call,
-                    shard,
-                    {"op": "submit", "spec": shard_spec, "timeout": timeout},
-                )
-            )
-        results: List[JobResult] = [future.result()["result"] for future in futures]
-        self._drain_edges([shard for shard, _ in parts])
+            futures.append(self._pool.submit(self._submit, shard, shard_spec, timeout))
+        results: List[JobResult] = [future.result() for future in futures]
         return self._merge_results(spec, results, time.perf_counter() - started)
 
     def _merge_results(
@@ -674,32 +703,38 @@ class ShardedEngine:
 
     # -- shared-store maintenance --------------------------------------------
 
-    def _drain_edges(self, shards: List[_Shard]) -> int:
-        """Pull each shard's new edges into the writable store (deduped).
-
-        No-op once a mutation batch has run: an append-only store cannot
-        tombstone, so post-mutation edges stay in the shards' own graphs.
-        """
+    def _drain_edges(self, shards: List[_Shard]) -> None:
+        """Pull each shard's edges past its cursor into the store."""
         if self._store_stale:
-            return 0
-        appended = 0
+            return
         for shard in shards:
-            reply = self._call(shard, {"op": "edges", "start": shard.cursor})
-            shard.cursor = int(reply["total"])
-            rows = reply["edges"]
-            if not rows:
-                continue
-            with self._store_lock:
-                for i, j, w in rows:
-                    pair = (int(i), int(j))
-                    if pair in self._known:
-                        continue
-                    self._known[pair] = float(w)
-                    self.store.append(pair[0], pair[1], float(w))
-                    appended += 1
+            self._store_rows(
+                shard, self._call(shard, {"op": "edges", "start": shard.cursor})
+            )
+
+    def _store_rows(self, shard: _Shard, reply: Dict[str, Any]) -> None:
+        """Append a shard reply's ``edges`` to the store (deduped).
+
+        The rows start past the shard's merged store prefix, so they carry
+        only edges the shard charged (or restored); the shard's cursor
+        moves to the reply's ``total``.  Nothing is appended once a
+        mutation batch has run: an append-only store cannot tombstone, so
+        post-mutation edges stay in the shards' own graphs.
+        """
+        appended = 0
+        with self._store_lock:
+            shard.cursor = max(shard.cursor, int(reply["total"]))
+            if self._store_stale:
+                return
+            for i, j, w in reply["edges"]:
+                pair = (int(i), int(j))
+                if pair in self._known:
+                    continue
+                self._known[pair] = float(w)
+                self.store.append(pair[0], pair[1], float(w))
+                appended += 1
         if appended:
             self._m_drained.inc(appended)
-        return appended
 
     # -- mutation & standing queries -----------------------------------------
 
@@ -717,6 +752,9 @@ class ShardedEngine:
                 "this sharded engine is static; start it with dynamic=True "
                 "to accept mutation batches"
             )
+        # Stale before the broadcast: no submit sent from here on publishes
+        # a prefix, and no reply charged after the batch reaches the store.
+        self._store_stale = True
         replies = self._broadcast({"op": "mutate", "mutations": list(mutations)})
         result = dict(replies[0]["result"])
         removed = [int(i) for i in result.get("removed_ids", [])]
@@ -733,7 +771,6 @@ class ShardedEngine:
                 if obj not in self._regions[owner]:
                     self._regions[owner].append(obj)
                     self._regions[owner].sort()
-        self._store_stale = True
         self._m_mutation_batches.inc()
         return result
 

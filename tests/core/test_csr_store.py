@@ -8,8 +8,10 @@ import pytest
 
 from repro.core.csr_store import CSRStore
 from repro.core.exceptions import SnapshotMismatchError
+from repro.core.oracle import DistanceOracle
 from repro.core.partial_graph import PartialDistanceGraph
 from repro.core.persistence import load_columns
+from repro.service import ProximityEngine
 
 
 EDGES = [(0, 1, 0.5), (1, 2, 0.3), (0, 2, 0.6), (3, 4, 1.25), (2, 5, 0.9)]
@@ -139,15 +141,53 @@ class TestGraphInterop:
         i2, _, _ = store.edge_columns()
         assert np.shares_memory(i1, i2)
 
-    def test_read_only_graph_syncs_from_store(self, store):
+    def test_read_only_store_refuses_to_bind(self, store):
         reader = CSRStore.attach(store.name)
         try:
-            graph = reader.to_graph()
-            _filled(store)
-            assert graph.sync_from_store() == len(EDGES)
-            assert graph.num_edges == len(EDGES)
+            with pytest.raises(PermissionError):
+                PartialDistanceGraph(6).attach_store(reader)
         finally:
             reader.close()
+
+    def test_engine_merges_rows_published_after_attach(self, store):
+        # A reader adopts the store empty, then merges exactly the rows its
+        # writer publishes later — free, and only the named range.
+        def unpaid(i, j):
+            raise AssertionError(f"merged pair ({i}, {j}) reached the oracle")
+
+        reader = CSRStore.attach(store.name)
+        engine = ProximityEngine(DistanceOracle(unpaid, 6), job_workers=1)
+        try:
+            assert engine.adopt_store(reader) == 0
+            _filled(store)
+            reader.refresh()
+            assert engine.adopt_store(reader, start=0, stop=3) == 3
+            assert engine.adopt_store(reader, start=3) == len(EDGES) - 3
+            i, j, w = engine.graph.edge_arrays()
+            assert list(zip(i.tolist(), j.tolist(), w.tolist())) == EDGES
+            assert engine.oracle(2, 5) == 0.9
+            assert engine.oracle.calls == 0
+        finally:
+            engine.close(snapshot=False)
+            reader.close()
+
+    def test_merge_rejects_conflicting_weight(self, store):
+        engine = ProximityEngine(DistanceOracle(lambda i, j: 1.0, 6), job_workers=1)
+        try:
+            engine.graph.add_edge(0, 1, 0.25)
+            _filled(store)
+            with pytest.raises(SnapshotMismatchError):
+                engine.adopt_store(store)
+            assert engine.graph.num_edges == 1  # checked before merging
+        finally:
+            engine.close(snapshot=False)
+
+    def test_edge_rows_slices_across_segments(self, store):
+        _filled(store)  # capacity 4: rows 3 and 4 straddle two segments
+        assert store.edge_rows(3, 5) == EDGES[3:]
+        assert store.edge_rows(2, 2) == []
+        with pytest.raises(ValueError):
+            store.edge_rows(0, len(EDGES) + 1)
 
 
 class TestArchives:

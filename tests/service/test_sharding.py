@@ -1,6 +1,8 @@
 """Tests for the sharded multi-process engine and its landmark plan."""
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -161,31 +163,43 @@ class TestCoordinatorSurface:
             ShardedEngine(handle, num_shards=0)
 
 
+def _substream(spec, region):
+    params = dict(spec.params)
+    params["candidates"] = list(region)
+    return JobSpec(kind=spec.kind, params=params)
+
+
 class TestPerShardByteIdentity:
     def test_shard_edge_sequences_replay_substream(self, handle, space):
         # Each shard must resolve exactly the edges (in exactly the order)
         # that a single-process engine produces on the same candidate
-        # substream — the acceptance bar for answer/provenance parity.
-        engine = ShardedEngine(handle, num_shards=2, provider="none")
+        # substream when it is seeded with the same store prefix before
+        # each job — the acceptance bar for answer/provenance parity.
+        # Several jobs, so every shard merges peer rows between them.
+        radius = space.distance(4, 5) * 1.1
+        workload = [
+            JobSpec(kind="knn", params={"query": 5, "k": 4}),
+            JobSpec(kind="range", params={"query": 30, "radius": radius}),
+            JobSpec(kind="knn", params={"query": 40, "k": 6}),
+            JobSpec(kind="nearest", params={"query": 12}),
+            JobSpec(kind="knn", params={"query": 5, "k": 8}),
+        ]
+        engine = ShardedEngine(handle, num_shards=2, provider="tri")
         try:
-            spec = JobSpec(kind="knn", params={"query": 5, "k": 4})
-            engine.run(spec)
+            prefixes = []
+            for spec in workload:
+                prefixes.append(engine.store.num_edges)
+                engine.run(spec)
+            assert prefixes[-1] > 0
             for shard, region in zip(engine._shards, engine.plan.regions):
                 rows = engine._call(shard, {"op": "edges", "start": 0})["edges"]
-                ref = ProximityEngine.for_space(
-                    space, provider="none", job_workers=1
-                )
+                ref = ProximityEngine.for_space(space, provider="tri", job_workers=1)
                 try:
-                    ref.run(
-                        JobSpec(
-                            kind="knn",
-                            params={
-                                "query": 5,
-                                "k": 4,
-                                "candidates": list(region),
-                            },
-                        )
-                    )
+                    merged = 0
+                    for spec, prefix in zip(workload, prefixes):
+                        ref.adopt_store(engine.store, start=merged, stop=prefix)
+                        merged = prefix
+                        ref.run(_substream(spec, region))
                     i, j, w = ref.graph.edge_arrays()
                     want = list(zip(i.tolist(), j.tolist(), w.tolist()))
                 finally:
@@ -193,6 +207,96 @@ class TestPerShardByteIdentity:
                 assert [tuple(r) for r in rows] == want
         finally:
             engine.close()
+
+
+class TestStoreDrain:
+    def test_store_holds_exactly_the_charged_edges(self, handle):
+        # Replies carry only what a job charged, never merged peer rows,
+        # so the store grows by exactly the distinct charged edges.  The
+        # jobs run one after another and shards own disjoint candidates,
+        # so every charged pair is distinct.
+        engine = ShardedEngine(handle, num_shards=2, provider="tri")
+        try:
+            charged = 0
+            for query in (3, 25, 3, 44, 10):
+                result = engine.run(JobSpec(kind="knn", params={"query": query, "k": 5}))
+                charged += result.charged_calls
+            assert charged == engine.store.num_edges
+            assert engine.stats()["aggregate"]["oracle_calls"] == charged
+            assert engine._m_drained.value == charged
+            pairs = [(i, j) for i, j, _ in engine.store.iter_edges()]
+            assert len(set(pairs)) == len(pairs)
+        finally:
+            engine.close()
+
+    def test_peer_rows_spare_the_oracle(self, handle):
+        # Query 3 pays (3, c) on every shard; a later query from c in the
+        # other region finds (c, 3) merged and pays nothing for it.
+        engine = ShardedEngine(handle, num_shards=2, provider="none")
+        try:
+            engine.run(JobSpec(kind="knn", params={"query": 3, "k": 5}))
+            other = next(r for r in engine.plan.regions if 3 not in r)
+            spec = JobSpec(
+                kind="knn", params={"query": other[0], "k": 1, "candidates": [3]}
+            )
+            result = engine.run(spec)
+            assert result.ok and result.charged_calls == 0
+        finally:
+            engine.close()
+
+
+class TestConcurrentScatter:
+    def test_more_threads_than_cores_match_single_engine(self, handle, space, reference):
+        # Scatters from many client threads interleave their submits and
+        # store appends; each shard must still merge only exact rows (a
+        # weight conflict would fail the job) and every answer must stay
+        # the single engine's.
+        radius = space.distance(4, 5) * 1.1
+        num_threads = 2 * (os.cpu_count() or 1) + 2
+        per_thread = 6
+        specs = []
+        for idx in range(num_threads * per_thread):
+            query = (idx * 7) % N
+            kind = ("knn", "range", "nearest")[idx % 3]
+            params = {"query": query}
+            if kind == "knn":
+                params["k"] = 3 + idx % 4
+            elif kind == "range":
+                params["radius"] = radius
+            specs.append(JobSpec(kind=kind, params=params))
+        want = [reference.run(spec).value for spec in specs]
+        got = [None] * len(specs)
+        errors = []
+        engine = ShardedEngine(handle, num_shards=2, provider="tri")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client(first):
+                for idx in range(first, len(specs), num_threads):
+                    try:
+                        got[idx] = engine.run(specs[idx])
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(f"{specs[idx]}: {exc}")
+
+            threads = [
+                threading.Thread(target=client, args=(t,), daemon=True)
+                for t in range(num_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "client thread hung"
+        finally:
+            sys.setswitchinterval(previous)
+            engine.close()
+        assert errors == []
+        for spec, result, expected in zip(specs, got, want):
+            assert result.status is JobStatus.COMPLETED
+            if spec.kind == "nearest":
+                assert tuple(result.value) == tuple(expected)
+            else:
+                assert result.value == expected
 
 
 class TestSnapshotRestore:
@@ -203,6 +307,7 @@ class TestSnapshotRestore:
             first.run(JobSpec(kind="knn", params={"query": 2, "k": 4}))
             first.run(JobSpec(kind="nearest", params={"query": 40}))
             edges_before = first.stats()["aggregate"]["graph_edges"]
+            store_edges = first.store.num_edges
             paths = first.snapshot(base)
             assert os.path.exists(paths["store"])
             assert len(paths["shards"]) == 2
@@ -215,7 +320,9 @@ class TestSnapshotRestore:
             added = second.restore(base)
             assert added == edges_before
             assert second.stats()["aggregate"]["graph_edges"] == edges_before
-            assert second.store.num_edges == edges_before
+            # Shard graphs overlap once they merge peer rows, so the store
+            # (their deduplicated union) matches the first engine's store.
+            assert second.store.num_edges == store_edges
         finally:
             second.close()
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.datasets.facades import flickr_space
-from repro.service import ShardedEngine
+from repro.dynamic import DynamicObjectSet
+from repro.service import ProximityEngine, ShardedEngine
 from repro.service.jobs import JobSpec
+from repro.service.server import mutation_from_dict
 from repro.spaces.handles import handle_for
 
 N = 36
@@ -68,6 +70,39 @@ class TestBroadcastMutations:
         base = str(tmp_path / "snap")
         files = dynamic.snapshot(base)
         assert not any(path.endswith(".store.npz") for path in files)
+
+
+class TestStaleStoreAfterMutation:
+    def test_recycled_slot_never_merges_its_old_distances(self, handle):
+        # The first query leaves the victim's old distances to both
+        # regions in the store, each shard holding only its own half.  Once
+        # the slot is removed and recycled with another payload, merging
+        # the peer's half would seed the new object with the old object's
+        # distances; answers must instead match a single engine's.
+        space = handle.space()
+        victim = 4
+        payload = max(range(N), key=lambda obj: space.distance(victim, obj))
+        batch = [{"kind": "remove", "id": victim}, {"kind": "insert", "payload": payload}]
+        engine = ShardedEngine(handle, num_shards=2, provider="tri", dynamic=True)
+        single = ProximityEngine.for_space(
+            DynamicObjectSet.wrap(space), provider="none", job_workers=1
+        )
+        try:
+            engine.run(JobSpec(kind="knn", params={"query": victim, "k": 3}))
+            assert engine.store.num_edges == N - 1
+            assert engine.apply_mutations(batch)["inserted_ids"] == [victim]
+            single.apply_mutations([mutation_from_dict(m) for m in batch])
+            queries = [victim] + [
+                obj for region in engine.plan.regions for obj in region[:3]
+                if obj != victim
+            ]
+            for query in queries:
+                spec = JobSpec(kind="knn", params={"query": query, "k": N - 1})
+                assert engine.run(spec).value == single.run(spec).value
+            assert engine.store.num_edges == N - 1  # stale: nothing drained
+        finally:
+            single.close(snapshot=False)
+            engine.close()
 
 
 class TestShardedSubscriptions:
