@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.datasets import flickr_space
 from repro.dynamic import DynamicObjectSet, churn_batch
-from repro.service import ProximityEngine, ProximityServer, send_request
+from repro.service import AsyncProximityServer, ProximityEngine, send_request
 
 N = 64
 K = 4
@@ -94,7 +94,7 @@ def main() -> None:
         mutable, provider="tri", job_workers=1
     ) as served, tempfile.TemporaryDirectory() as tmp:
         sock = str(Path(tmp) / "live.sock")
-        with ProximityServer(served, sock):
+        with AsyncProximityServer(served, socket_path=sock):
             sub_reply = send_request(
                 sock, {"op": "subscribe", "kind": "knn", "query": 0, "k": 3}
             )

@@ -273,7 +273,7 @@ def _cmd_indexes(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Run a persistent proximity engine behind a local or TCP socket."""
-    from repro.service import ProximityEngine, ProximityServer
+    from repro.service import AsyncProximityServer, ProximityEngine
 
     if args.transport == "unix" and not args.socket:
         print("error: --transport unix requires --socket", file=sys.stderr)
@@ -302,7 +302,6 @@ def _cmd_serve(args) -> int:
         )
         if args.restore_from:
             engine.restore(args.restore_from)
-        backend = engine
         n = engine.n
     else:
         space = _build_space(args)
@@ -319,27 +318,19 @@ def _cmd_serve(args) -> int:
             restore_from=args.restore_from,
             weak_oracle=args.weak_oracle,
         )
-        backend = engine
         n = space.n
 
-    if args.transport == "tcp" or sharded:
-        from repro.service import AsyncProximityServer
-
-        server = AsyncProximityServer(
-            backend,
-            socket_path=args.socket if args.transport == "unix" else None,
-            host=args.host,
-            port=args.port if args.transport == "tcp" else None,
-        )
-        server.start()
-        where = (
-            f"{args.host or '127.0.0.1'}:{server.port}"
-            if args.transport == "tcp"
-            else args.socket
-        )
-    else:
-        server = ProximityServer(engine, args.socket)
-        where = args.socket
+    server = AsyncProximityServer(
+        engine,
+        socket_path=args.socket if args.transport == "unix" else None,
+        host=args.host,
+        port=args.port if args.transport == "tcp" else None,
+    ).start()
+    where = (
+        f"{args.host or '127.0.0.1'}:{server.port}"
+        if args.transport == "tcp"
+        else args.socket
+    )
     shard_note = f", shards={args.shards}" if sharded else ""
     print(
         f"serving {args.dataset} (n={n}, provider={args.provider}"
@@ -347,8 +338,6 @@ def _cmd_serve(args) -> int:
     )
     try:
         if args.serve_seconds is not None:
-            if isinstance(server, ProximityServer):
-                server.start()
             time.sleep(args.serve_seconds)
         else:  # pragma: no cover - interactive path
             server.serve_forever()

@@ -4,7 +4,7 @@ One queryable surface for every counter the repo keeps.  The registry's
 numbers are exposed three ways:
 
 * ``GET /metrics`` (or ``{"op": "metrics"}``) on a running
-  :class:`~repro.service.server.ProximityServer`,
+  :class:`~repro.service.aserver.AsyncProximityServer`,
 * ``repro stats --snapshot`` on the CLI, and
 * a :class:`~repro.obs.sinks.MetricsSink` handed to
   :func:`~repro.harness.runner.run_experiment`.

@@ -6,8 +6,8 @@ enforces: resolved distances are exact and never change, so sharing one
 queries can only *save* oracle calls — it can never alter an answer.
 
 Every engine carries a :class:`~repro.obs.registry.MetricsRegistry`
-(``engine.registry``); the server exposes it as ``{"op": "metrics"}`` and
-as a scrapeable HTTP ``GET /metrics``.
+(``engine.registry``); :class:`AsyncProximityServer` exposes it as
+``{"op": "metrics"}`` and as a scrapeable HTTP ``GET /metrics``.
 """
 
 from repro.service.aserver import AsyncProximityServer, engine_backend
@@ -26,12 +26,7 @@ from repro.service.jobs import (
     TERMINAL_STATUSES,
 )
 from repro.service.queue import JobQueue
-from repro.service.server import (
-    ProximityServer,
-    handle_engine_request,
-    parse_target,
-    send_request,
-)
+from repro.service.server import dispatch, parse_target, send_request
 from repro.service.sharding import ShardedEngine, ShardPlan, plan_shards
 
 __all__ = [
@@ -45,12 +40,11 @@ __all__ = [
     "JobSpec",
     "JobStatus",
     "ProximityEngine",
-    "ProximityServer",
     "ShardPlan",
     "ShardedEngine",
     "TERMINAL_STATUSES",
+    "dispatch",
     "engine_backend",
-    "handle_engine_request",
     "parse_target",
     "plan_shards",
     "send_request",

@@ -1,23 +1,25 @@
-"""Asyncio front-end: one event loop, many slow jobs, two transports.
+"""The proximity server: one asyncio event loop on Unix and/or TCP sockets.
 
-The threaded :class:`~repro.service.server.ProximityServer` spends one OS
-thread per connection; this server multiplexes every connection — Unix
-socket *and* TCP — onto a single event loop, which is the right shape for
-"millions of users" traffic: connections are cheap, and the expensive part
-(running a job against the engine) is pushed onto a bounded worker pool so
-the loop never blocks.
+Every connection — Unix socket, TCP, or both at once — is multiplexed onto
+a single event loop.  Requests are JSON lines (see
+:mod:`repro.service.server`) answered one line per request; a request line
+starting with ``GET`` or ``HEAD`` is answered as HTTP/1.0 instead, so
+``curl http://host:port/metrics`` (or ``curl --unix-socket <sock>
+http://localhost/metrics``) scrapes the Prometheus text with stock tooling.
 
-The wire protocol is unchanged: JSON-lines requests (``submit`` / ``stats``
-/ ``metrics`` / ``snapshot`` / ``ping``) answered one line per request,
-plus just enough HTTP that ``curl http://host:port/metrics`` (or the
-``--unix-socket`` variant) scrapes Prometheus text.
+The server fronts a *backend*: a
+:class:`~repro.service.engine.ProximityEngine` or a
+:class:`~repro.service.sharding.ShardedEngine`.  It calls
+``backend.handle_request(request)`` for JSON lines and
+``backend.render_metrics()`` for ``GET /metrics``.
 
-The server fronts any *backend* exposing ``handle_request(dict) -> dict``
-and ``render_metrics() -> str``: a single
-:class:`~repro.service.engine.ProximityEngine` (wrapped via
-:func:`engine_backend`) or a
-:class:`~repro.service.sharding.ShardedEngine` coordinator, which is how
-the sharded topology gets its network face.
+Running a request can block on the engine for as long as the job takes,
+so requests never run on the loop: they run on a fixed pool of
+:data:`DISPATCH_WORKERS` threads.  At most that many requests are in
+flight at once; a further concurrent request waits for a free thread
+(connections themselves are never refused).  Request lines may be up to
+:data:`MAX_LINE_BYTES` long; a longer line is answered with an error and
+the connection closes.
 
 The event loop runs on a dedicated background thread, so synchronous code
 (the CLI, tests) can start/stop the server without itself being async.
@@ -27,45 +29,44 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional
 
-from repro.service.engine import ProximityEngine
-from repro.service.server import handle_engine_request
+#: Threads that run backend requests off the event loop.
+DISPATCH_WORKERS = 8
 
-#: Worker threads that execute backend requests off the event loop.
-DEFAULT_DISPATCH_WORKERS = 8
-
-
-class RequestBackend(Protocol):
-    """What the async server needs from whatever it fronts."""
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer one protocol request."""
-        ...
-
-    def render_metrics(self) -> str:
-        """Prometheus text exposition for ``GET /metrics``."""
-        ...
+#: Longest accepted request line.  A ``submit`` whose ``candidates`` list
+#: names a million objects (the Flickr1M scale the dataset generators
+#: model) is about 8 MB of JSON.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 
-class _EngineBackend:
-    """Adapt a single :class:`ProximityEngine` to the backend protocol."""
+def engine_backend(engine):
+    """The backend :class:`AsyncProximityServer` uses for ``engine``.
 
-    def __init__(self, engine: ProximityEngine) -> None:
-        self.engine = engine
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return handle_engine_request(self.engine, request)
-
-    def render_metrics(self) -> str:
-        return self.engine.render_metrics()
+    An engine is its own backend; callers that reassign the backend's
+    ``handle_request`` (to time it, say) go through here.
+    """
+    return engine
 
 
-def engine_backend(engine: ProximityEngine) -> RequestBackend:
-    """Wrap an engine for :class:`AsyncProximityServer`."""
-    return _EngineBackend(engine)
+async def _reply(writer: asyncio.StreamWriter, response: Dict[str, Any]) -> None:
+    writer.write((json.dumps(response) + "\n").encode("utf-8"))
+    await writer.drain()
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Consume the rest of an over-long line, so its sender reads the reply."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
 
 
 class AsyncProximityServer:
@@ -78,15 +79,12 @@ class AsyncProximityServer:
 
     def __init__(
         self,
-        backend: RequestBackend,
+        backend: Any,
         *,
         socket_path: Optional[str] = None,
         host: Optional[str] = None,
         port: Optional[int] = None,
-        dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
     ) -> None:
-        if isinstance(backend, ProximityEngine):
-            backend = engine_backend(backend)
         if socket_path is None and port is None:
             raise ValueError("configure a Unix socket path, a TCP port, or both")
         self.backend = backend
@@ -94,7 +92,7 @@ class AsyncProximityServer:
         self.host = host or "127.0.0.1"
         self.port = port
         self._dispatch = ThreadPoolExecutor(
-            max_workers=dispatch_workers, thread_name_prefix="repro-aserve"
+            max_workers=DISPATCH_WORKERS, thread_name_prefix="repro-aserve"
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -120,11 +118,16 @@ class AsyncProximityServer:
         try:
             while True:
                 try:
-                    raw = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError):
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # peer closed; answer a final unterminated line
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    error = f"request line longer than {MAX_LINE_BYTES} bytes"
+                    await _reply(writer, {"ok": False, "error": error})
                     return
-                except asyncio.CancelledError:
-                    return  # server shutting down with the connection open
+                except (ConnectionResetError, asyncio.CancelledError):
+                    return  # peer reset, or server shutting down mid-connection
                 if not raw:
                     return
                 line = raw.strip()
@@ -139,8 +142,7 @@ class AsyncProximityServer:
                     )
                 except json.JSONDecodeError as exc:
                     response = {"ok": False, "error": f"JSONDecodeError: {exc}"}
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
+                await _reply(writer, response)
         finally:
             writer.close()
             try:
@@ -195,12 +197,14 @@ class AsyncProximityServer:
         if self.socket_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
-                    self._handle_connection, path=self.socket_path
+                    self._handle_connection, path=self.socket_path,
+                    limit=MAX_LINE_BYTES,
                 )
             )
         if self.port is not None:
             server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
+                self._handle_connection, host=self.host, port=self.port,
+                limit=MAX_LINE_BYTES,
             )
             self._servers.append(server)
             # Ephemeral port: report what the OS actually bound.
@@ -264,8 +268,6 @@ class AsyncProximityServer:
             self._thread = None
         self._dispatch.shutdown(wait=False, cancel_futures=True)
         if self.socket_path is not None:
-            import os
-
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
 

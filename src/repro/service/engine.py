@@ -101,6 +101,7 @@ from repro.obs import (
 )
 from repro.service.jobs import TERMINAL_STATUSES, Job, JobResult, JobSpec, JobStatus
 from repro.service.queue import JobQueue
+from repro.service.server import dispatch
 from repro.spaces.base import MetricSpace
 
 Pair = Tuple[int, int]
@@ -1462,6 +1463,10 @@ class ProximityEngine:
     def render_metrics(self) -> str:
         """The registry in Prometheus text format (the ``/metrics`` body)."""
         return self.registry.render_prometheus()
+
+    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one protocol request through the shared op table."""
+        return dispatch(self, request)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,21 +1,26 @@
-"""A minimal local-socket front end for the proximity engine.
+"""The JSON-lines wire protocol and its one op table.
 
-One engine process can serve queries from other processes on the same
-machine over a Unix domain socket with a JSON-lines protocol: each request
-is one JSON object on one line, each response one JSON object on one line.
-Operations:
+Each request is one JSON object on one line, each response one JSON
+object on one line.  :func:`dispatch` answers every op for either backend
+— a single :class:`~repro.service.engine.ProximityEngine` or a
+:class:`~repro.service.sharding.ShardedEngine` — and
+:class:`~repro.service.aserver.AsyncProximityServer` carries it over Unix
+and TCP sockets.  Operations:
 
 ``{"op": "submit", "spec": {...}}``
     Build a :class:`~repro.service.jobs.JobSpec` from ``spec``, run it to
     completion, and return the serialised :class:`JobResult`.
+    ``build_index`` is sugar for a ``build_index`` job.
 ``{"op": "stats"}``
-    Return ``engine.snapshot_stats().to_dict()``.
+    Return the backend's ``snapshot_stats().to_dict()``.
 ``{"op": "metrics"}``
-    Return the engine's metrics registry rendered in Prometheus text
-    exposition format (the ``metrics`` field of the response).
+    Return the metrics registry rendered in Prometheus text exposition
+    format (the ``metrics`` field of the response).
 ``{"op": "snapshot", "path": "..."}``
-    Write a warm-state snapshot (``path`` optional when the engine has a
-    configured ``snapshot_path``).
+    Write a warm-state snapshot; ``path`` in the reply is what the backend
+    wrote (a sharded backend answers its store and per-shard archives).
+``{"op": "indexes"}``
+    Names of the built navigable-graph indexes.
 ``{"op": "ping"}``
     Liveness check.
 ``{"op": "mutate", "mutations": [{"kind": "insert", "payload": ...},
@@ -29,32 +34,16 @@ Operations:
 ``{"op": "deltas", "sub_id": 1, "since": 0}``
     Poll a subscription's entered/left/reordered deltas past a sequence
     cursor, plus its current registered result.  ``unsubscribe`` drops it.
-
-The handler additionally speaks just enough HTTP that
-``curl --unix-socket <sock> http://localhost/metrics`` works: a request
-line starting with ``GET`` (or ``HEAD``) is answered with an HTTP/1.0
-response — ``/metrics`` serves the Prometheus text, anything else a 404 —
-and the connection closes.  That makes the registry scrapeable with stock
-tooling without pulling an HTTP framework into the repo.
-
-The server is deliberately not a scalability play — it exists so the
-``repro serve`` / ``repro submit`` CLI pair can demonstrate a *persistent*
-engine whose partial distance graph keeps compounding across independent
-client invocations, which is the whole point of the service layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import socket
-import socketserver
-import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.dynamic import Mutation
-from repro.service.engine import ProximityEngine
 from repro.service.jobs import JobSpec
 
 
@@ -116,60 +105,55 @@ def mutation_from_dict(payload: Dict[str, Any]) -> Mutation:
     )
 
 
-def handle_engine_request(engine: ProximityEngine, request: Dict[str, Any]) -> Dict[str, Any]:
-    """Dispatch one protocol request against an engine.
+def dispatch(backend, request: Dict[str, Any]) -> Dict[str, Any]:
+    """Answer one protocol request against a backend: the one op table.
 
-    The transport-independent core of the op surface: the threaded Unix
-    server, the asyncio front-end (:mod:`repro.service.aserver`), and tests
-    all route through here.  Backends with their own dispatch (the sharded
-    coordinator) expose the same contract via their ``handle_request``.
+    ``backend`` is a :class:`~repro.service.engine.ProximityEngine` or a
+    :class:`~repro.service.sharding.ShardedEngine`; both expose the methods
+    called here with the same signatures, so the table never asks which
+    one it holds.  Both backends' ``handle_request`` route here, as does
+    the shard process for every message that is not shard-private.
     """
     op = request.get("op")
     if op == "ping":
         return {"ok": True, "op": "ping"}
     if op == "stats":
-        return {"ok": True, "stats": engine.snapshot_stats().to_dict()}
+        return {"ok": True, "stats": backend.snapshot_stats().to_dict()}
     if op == "metrics":
-        return {"ok": True, "metrics": engine.render_metrics()}
+        return {"ok": True, "metrics": backend.render_metrics()}
     if op == "snapshot":
-        path = engine.snapshot(request.get("path"))
-        return {"ok": True, "path": path}
-    if op == "submit":
-        spec = spec_from_dict(request.get("spec", {}))
-        job = engine.submit(spec)
-        result = job.result(request.get("timeout"))
-        return {"ok": True, "job_id": job.id, "result": result_to_dict(result)}
-    if op == "build_index":
-        # Sugar over submit: build a navigable graph as a normal job.
-        params = dict(request.get("params", {}))
-        params.setdefault("graph", str(request.get("graph", "hnsw")))
-        spec = spec_from_dict({"kind": "build_index", "params": params,
-                               "label": request.get("label", "build-index")})
-        job = engine.submit(spec)
-        result = job.result(request.get("timeout"))
-        return {"ok": True, "job_id": job.id, "result": result_to_dict(result)}
+        return {"ok": True, "path": backend.snapshot(request.get("path"))}
+    if op in ("submit", "build_index"):
+        if op == "submit":
+            spec = spec_from_dict(request.get("spec", {}))
+        else:
+            # Sugar over submit: build a navigable graph as a normal job.
+            params = dict(request.get("params", {}))
+            params.setdefault("graph", str(request.get("graph", "hnsw")))
+            spec = spec_from_dict({"kind": "build_index", "params": params,
+                                   "label": request.get("label", "build-index")})
+        result = backend.run(spec, request.get("timeout"))
+        return {"ok": True, "result": result_to_dict(result)}
     if op == "indexes":
-        return {"ok": True, "indexes": sorted(engine.indexes)}
-    if op == "mutate":
-        batch = [mutation_from_dict(m) for m in request.get("mutations", [])]
-        outcome = engine.apply_mutations(batch)
-        return {"ok": True, "result": outcome.to_dict()}
-    if op == "insert":
-        outcome = engine.apply_mutations(
-            [Mutation(kind="insert", payload=request.get("payload"))]
-        )
-        return {"ok": True, "id": outcome.inserted_ids[0], "result": outcome.to_dict()}
-    if op == "remove":
-        outcome = engine.apply_mutations(
-            [Mutation(kind="remove", obj_id=int(request["id"]))]
-        )
-        return {"ok": True, "result": outcome.to_dict()}
+        return {"ok": True, "indexes": sorted(backend.indexes)}
+    if op in ("mutate", "insert", "remove"):
+        if op == "mutate":
+            batch = [mutation_from_dict(m) for m in request.get("mutations", [])]
+        elif op == "insert":
+            batch = [Mutation(kind="insert", payload=request.get("payload"))]
+        else:
+            batch = [Mutation(kind="remove", obj_id=int(request["id"]))]
+        outcome = backend.apply_mutations(batch)
+        reply = {"ok": True, "result": outcome.to_dict()}
+        if op == "insert":
+            reply["id"] = outcome.inserted_ids[0]
+        return reply
     if op == "subscribe":
         kind = str(request.get("kind", "knn"))
         if kind == "knn":
-            sub = engine.subscribe_knn(int(request["query"]), int(request.get("k", 5)))
+            sub = backend.subscribe_knn(int(request["query"]), int(request.get("k", 5)))
         elif kind == "knng":
-            sub = engine.subscribe_knng(int(request.get("k", 5)))
+            sub = backend.subscribe_knng(int(request.get("k", 5)))
         else:
             return {"ok": False, "error": f"unknown subscription kind {kind!r}"}
         return {
@@ -181,8 +165,8 @@ def handle_engine_request(engine: ProximityEngine, request: Dict[str, Any]) -> D
         }
     if op == "deltas":
         sub_id = int(request["sub_id"])
-        deltas = engine.subscription_deltas(sub_id, int(request.get("since", 0)))
-        sub = engine.subscriptions.get(sub_id)
+        deltas = backend.subscription_deltas(sub_id, int(request.get("since", 0)))
+        sub = backend.subscriptions.get(sub_id)
         return {
             "ok": True,
             "sub_id": sub_id,
@@ -191,7 +175,7 @@ def handle_engine_request(engine: ProximityEngine, request: Dict[str, Any]) -> D
             "result": sub.result_dict(),
         }
     if op == "unsubscribe":
-        engine.unsubscribe(int(request["sub_id"]))
+        backend.unsubscribe(int(request["sub_id"]))
         return {"ok": True, "sub_id": int(request["sub_id"])}
     return {"ok": False, "error": f"unknown op {op!r}"}
 
@@ -209,110 +193,6 @@ def parse_target(target: str) -> Tuple[str, Any]:
         if port.isdigit():
             return "tcp", (host or "127.0.0.1", int(port))
     return "unix", text
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: many JSON request lines, or one HTTP GET."""
-
-    def handle(self) -> None:
-        server: "ProximityServer" = self.server.proximity_server  # type: ignore[attr-defined]
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                return
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(b"GET ") or line.startswith(b"HEAD "):
-                self._serve_http(server, line)
-                return  # HTTP/1.0 semantics: one request, then close
-            try:
-                response = server.handle_request(json.loads(line.decode("utf-8")))
-            except Exception as exc:  # noqa: BLE001 - protocol errors answer, not crash
-                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
-
-    def _serve_http(self, server: "ProximityServer", request_line: bytes) -> None:
-        """Answer a raw HTTP request (``curl --unix-socket ... /metrics``)."""
-        parts = request_line.split()
-        target = parts[1].decode("utf-8", "replace") if len(parts) > 1 else ""
-        head_only = request_line.startswith(b"HEAD ")
-        # Drain the request headers so the client never sees a reset.
-        while True:
-            header = self.rfile.readline()
-            if not header or header in (b"\r\n", b"\n"):
-                break
-        path = target.split("?", 1)[0]
-        if path == "/metrics":
-            status = "200 OK"
-            body = server.engine.render_metrics().encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            status = "404 Not Found"
-            body = b"not found\n"
-            content_type = "text/plain; charset=utf-8"
-        head = (
-            "HTTP/1.0 %s\r\n"
-            "Content-Type: %s\r\n"
-            "Content-Length: %d\r\n"
-            "Connection: close\r\n"
-            "\r\n" % (status, content_type, len(body))
-        ).encode("ascii")
-        self.wfile.write(head if head_only else head + body)
-        self.wfile.flush()
-
-
-class _ThreadedUnixServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
-class ProximityServer:
-    """Serve an engine over a Unix domain socket until :meth:`close`."""
-
-    def __init__(self, engine: ProximityEngine, socket_path: str) -> None:
-        self.engine = engine
-        self.socket_path = str(socket_path)
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-        self._server = _ThreadedUnixServer(self.socket_path, _Handler)
-        self._server.proximity_server = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    # -- request dispatch ----------------------------------------------------
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return handle_engine_request(self.engine, request)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def serve_forever(self) -> None:
-        """Block serving requests until :meth:`close` (for CLI use)."""
-        self._server.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "ProximityServer":
-        """Serve on a background thread (for tests and embedding)."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-
-    def __enter__(self) -> "ProximityServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def send_request(

@@ -55,6 +55,7 @@ tombstone.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -66,8 +67,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.csr_store import DEFAULT_SEGMENT_CAPACITY, CSRStore
 from repro.core.exceptions import ConfigurationError
+from repro.dynamic import Mutation, MutationResult, Subscription, SubscriptionDelta
 from repro.obs import MetricsRegistry, merge_metrics, relabel_metrics
 from repro.service.jobs import JobResult, JobSpec, JobStatus
+from repro.service.server import dispatch
 from repro.spaces.handles import SpaceHandle
 
 Pair = Tuple[int, int]
@@ -201,9 +204,12 @@ class ShardConfig:
 def _shard_main(conn, config: ShardConfig) -> None:
     """Shard process body: build the engine, answer pipe ops until close.
 
-    Module-level so it pickles by reference under the spawn start method.
-    The engine runs exactly one job worker — the shard's resolved-edge
-    sequence must replay the substream deterministically.
+    ``submit`` (with its store merge and charged edge rows), ``edges``,
+    ``restore`` and ``close`` are shard-private; every other message is a
+    protocol request answered by the shared op table.  Module-level so it
+    pickles by reference under the spawn start method.  The engine runs
+    exactly one job worker — the shard's resolved-edge sequence must
+    replay the substream deterministically.
     """
     from repro.service.engine import ProximityEngine
 
@@ -241,9 +247,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
                 return
             op = msg.get("op")
             try:
-                if op == "ping":
-                    conn.send({"ok": True, "op": "ping", "shard": config.shard})
-                elif op == "submit":
+                if op == "submit":
                     published = msg.get("store_edges")
                     if merged is not None and published is not None and published > merged:
                         store.refresh()
@@ -255,69 +259,18 @@ def _shard_main(conn, config: ShardConfig) -> None:
                     conn.send(
                         {"ok": True, "result": result, "edges": rows, "total": total}
                     )
-                elif op == "stats":
-                    conn.send(
-                        {"ok": True, "stats": engine.snapshot_stats().to_dict()}
-                    )
-                elif op == "metrics":
-                    conn.send({"ok": True, "metrics": engine.render_metrics()})
-                elif op == "indexes":
-                    conn.send({"ok": True, "indexes": sorted(engine.indexes)})
                 elif op == "edges":
                     rows, total = _edge_rows(engine, int(msg.get("start", 0)))
                     conn.send({"ok": True, "edges": rows, "total": total})
-                elif op == "snapshot":
-                    conn.send({"ok": True, "path": engine.snapshot(msg["path"])})
                 elif op == "restore":
                     conn.send({"ok": True, "added": engine.restore(msg["path"])})
-                elif op == "mutate":
-                    from repro.service.server import mutation_from_dict
-
-                    batch = [
-                        mutation_from_dict(m) for m in msg.get("mutations", [])
-                    ]
-                    merged = None
-                    outcome = engine.apply_mutations(batch)
-                    conn.send({"ok": True, "result": outcome.to_dict()})
-                elif op == "subscribe":
-                    if msg.get("kind", "knn") == "knn":
-                        sub = engine.subscribe_knn(
-                            int(msg["query"]), int(msg.get("k", 5))
-                        )
-                    else:
-                        sub = engine.subscribe_knng(int(msg.get("k", 5)))
-                    conn.send(
-                        {
-                            "ok": True,
-                            "sub_id": sub.sub_id,
-                            "kind": sub.kind,
-                            "seq": sub.seq,
-                            "result": sub.result_dict(),
-                        }
-                    )
-                elif op == "deltas":
-                    sub_id = int(msg["sub_id"])
-                    deltas = engine.subscription_deltas(
-                        sub_id, int(msg.get("since", 0))
-                    )
-                    sub = engine.subscriptions.get(sub_id)
-                    conn.send(
-                        {
-                            "ok": True,
-                            "sub_id": sub_id,
-                            "seq": sub.seq,
-                            "deltas": [d.to_dict() for d in deltas],
-                            "result": sub.result_dict(),
-                        }
-                    )
-                elif op == "unsubscribe":
-                    engine.unsubscribe(int(msg["sub_id"]))
-                    conn.send({"ok": True})
                 elif op == "close":
                     conn.send({"ok": True, "op": "close"})
                     return
                 else:
-                    conn.send({"ok": False, "error": f"unknown op {op!r}"})
+                    if op == "mutate":
+                        merged = None
+                    conn.send(dispatch(engine, msg))
             except Exception as exc:  # noqa: BLE001 - shard must answer, not die
                 conn.send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
     except Exception as exc:  # noqa: BLE001 - startup failure: tell the parent
@@ -356,11 +309,12 @@ class _Shard:
 class ShardedEngine:
     """Coordinator over N shard processes sharing one CSR bound store.
 
-    Speaks the same request surface as a single
-    :class:`~repro.service.engine.ProximityEngine` behind a
-    :class:`~repro.service.server.ProximityServer` — ``submit``/``run``,
-    ``stats``, ``render_metrics``, ``snapshot``, ``close`` — so servers and
-    the CLI treat either interchangeably.
+    Exposes the backend methods the op table
+    (:func:`~repro.service.server.dispatch`) calls on a single
+    :class:`~repro.service.engine.ProximityEngine`, with the same
+    signatures — ``run``, ``snapshot_stats``, ``render_metrics``,
+    ``snapshot``, ``indexes``, ``apply_mutations``, the subscription
+    methods — so the server and the CLI treat either interchangeably.
 
     Parameters mirror ``ProximityEngine.for_space`` where they apply; the
     space arrives as a picklable :class:`~repro.spaces.handles.SpaceHandle`
@@ -409,7 +363,7 @@ class ShardedEngine:
         self._owner_seq = 0
         self._owner_lock = threading.Lock()
         #: Index name -> shard index that built (and exclusively serves) it.
-        self._index_owners: Dict[str, int] = {}
+        self.indexes: Dict[str, int] = {}
         self._closed = False
         self._started_at = time.monotonic()
         self.dynamic = bool(dynamic)
@@ -427,6 +381,9 @@ class ShardedEngine:
         self._store_stale = False
         #: Coordinator subscription id → (shard index, shard-local sub id).
         self._sub_route: Dict[int, Tuple[int, int]] = {}
+        #: Coordinator subscription id → the owner shard's subscription as
+        #: of its last answer (sub id rewritten to the coordinator's).
+        self.subscriptions: Dict[int, Subscription] = {}
         self._sub_seq = 0
         self._sub_lock = threading.Lock()
         #: Final aggregate stats, captured by :meth:`close` for post-mortems.
@@ -579,13 +536,13 @@ class ShardedEngine:
         if spec.kind == "build_index":
             shard = self._next_owner()
             with self._owner_lock:
-                self._index_owners[name] = shard.index
+                self.indexes[name] = shard.index
             return shard
         with self._owner_lock:
             if name:
-                owner = self._index_owners.get(name)
-            elif len(self._index_owners) == 1:
-                name, owner = next(iter(self._index_owners.items()))
+                owner = self.indexes.get(name)
+            elif len(self.indexes) == 1:
+                name, owner = next(iter(self.indexes.items()))
             else:
                 owner = None
         if owner is None:
@@ -738,8 +695,8 @@ class ShardedEngine:
 
     # -- mutation & standing queries -----------------------------------------
 
-    def apply_mutations(self, mutations: List[Dict[str, Any]]) -> Dict[str, Any]:
-        """Broadcast one mutation batch (wire dicts) to every shard.
+    def apply_mutations(self, mutations: List[Mutation]) -> MutationResult:
+        """Broadcast one mutation batch to every shard.
 
         All shards hold the full universe and recycle slots
         deterministically, so each applies the identical batch and assigns
@@ -755,16 +712,16 @@ class ShardedEngine:
         # Stale before the broadcast: no submit sent from here on publishes
         # a prefix, and no reply charged after the batch reaches the store.
         self._store_stale = True
-        replies = self._broadcast({"op": "mutate", "mutations": list(mutations)})
-        result = dict(replies[0]["result"])
-        removed = [int(i) for i in result.get("removed_ids", [])]
-        inserted = [int(i) for i in result.get("inserted_ids", [])]
+        replies = self._broadcast(
+            {"op": "mutate", "mutations": [dataclasses.asdict(m) for m in mutations]}
+        )
+        result = MutationResult(**replies[0]["result"])
         with self._regions_lock:
-            for obj in removed:
+            for obj in result.removed_ids:
                 owner = self._slot_owner.get(obj)
                 if owner is not None and obj in self._regions[owner]:
                     self._regions[owner].remove(obj)
-            for obj in inserted:
+            for obj in result.inserted_ids:
                 owner = self._slot_owner.setdefault(
                     obj, obj % self.plan.num_shards
                 )
@@ -774,35 +731,30 @@ class ShardedEngine:
         self._m_mutation_batches.inc()
         return result
 
-    def subscribe(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Register a standing query on one owner shard (round-robin).
+    def subscribe_knn(self, query: int, k: int) -> Subscription:
+        """Register a standing kNN query on one owner shard (round-robin)."""
+        return self._subscribe("knn", {"query": int(query), "k": int(k)})
+
+    def subscribe_knng(self, k: int) -> Subscription:
+        """Register a standing kNN-graph on one owner shard (round-robin)."""
+        return self._subscribe("knng", {"k": int(k)})
+
+    def _subscribe(self, kind: str, params: Dict[str, Any]) -> Subscription:
+        """Register a standing query on the next owner shard.
 
         Mutations broadcast to every shard, so the owner refreshes its copy
         after each batch like any single-process engine would.  The
-        returned ``sub_id`` is coordinator-scoped; ``deltas``/
-        ``unsubscribe`` route through it.
+        returned ``sub_id`` is coordinator-scoped; ``subscription_deltas``
+        and ``unsubscribe`` route through it.
         """
         shard = self._next_owner()
-        reply = self._call(
-            shard,
-            {
-                "op": "subscribe",
-                "kind": request.get("kind", "knn"),
-                "query": request.get("query"),
-                "k": request.get("k", 5),
-            },
-        )
+        reply = self._call(shard, {"op": "subscribe", "kind": kind, **params})
         with self._sub_lock:
             self._sub_seq += 1
-            sub_id = self._sub_seq
-            self._sub_route[sub_id] = (shard.index, int(reply["sub_id"]))
-        return {
-            "sub_id": sub_id,
-            "shard": shard.index,
-            "kind": reply["kind"],
-            "seq": reply["seq"],
-            "result": reply["result"],
-        }
+            sub = _mirror_subscription(self._sub_seq, params, reply)
+            self._sub_route[sub.sub_id] = (shard.index, int(reply["sub_id"]))
+            self.subscriptions[sub.sub_id] = sub
+        return sub
 
     def _route_sub(self, sub_id: int) -> Tuple[_Shard, int]:
         with self._sub_lock:
@@ -811,19 +763,22 @@ class ShardedEngine:
 
     def subscription_deltas(
         self, sub_id: int, since: int = 0
-    ) -> Dict[str, Any]:
-        """Poll a subscription's deltas from its owner shard."""
+    ) -> List[SubscriptionDelta]:
+        """Poll a subscription's deltas from its owner shard.
+
+        Also refreshes :attr:`subscriptions` with the owner's current
+        registered result.
+        """
         shard, shard_sub = self._route_sub(sub_id)
         reply = self._call(
             shard, {"op": "deltas", "sub_id": shard_sub, "since": int(since)}
         )
-        return {
-            "sub_id": int(sub_id),
-            "shard": shard.index,
-            "seq": reply["seq"],
-            "deltas": reply["deltas"],
-            "result": reply["result"],
-        }
+        with self._sub_lock:
+            old = self.subscriptions[int(sub_id)]
+            self.subscriptions[int(sub_id)] = _mirror_subscription(
+                old.sub_id, old.params, dict(reply, kind=old.kind)
+            )
+        return [SubscriptionDelta(**delta) for delta in reply["deltas"]]
 
     def unsubscribe(self, sub_id: int) -> None:
         """Drop a standing query on its owner shard."""
@@ -831,6 +786,7 @@ class ShardedEngine:
         self._call(shard, {"op": "unsubscribe", "sub_id": shard_sub})
         with self._sub_lock:
             del self._sub_route[int(sub_id)]
+            del self.subscriptions[int(sub_id)]
 
     # -- observability -------------------------------------------------------
 
@@ -940,67 +896,12 @@ class ShardedEngine:
         for shard in self._shards:
             for name in self._call(shard, {"op": "indexes"})["indexes"]:
                 with self._owner_lock:
-                    self._index_owners[str(name)] = shard.index
+                    self.indexes[str(name)] = shard.index
         return added
 
-    # -- server protocol -----------------------------------------------------
-
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The JSON-lines op surface (same shape as ``ProximityServer``'s)."""
-        from repro.service.server import result_to_dict, spec_from_dict
-
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "op": "ping", "shards": self.plan.num_shards}
-        if op == "stats":
-            return {"ok": True, "stats": self.stats()}
-        if op == "metrics":
-            return {"ok": True, "metrics": self.render_metrics()}
-        if op == "snapshot":
-            return {"ok": True, **self.snapshot(request.get("path"))}
-        if op == "submit":
-            spec = spec_from_dict(request.get("spec", {}))
-            result = self.run(spec, request.get("timeout"))
-            return {"ok": True, "result": result_to_dict(result)}
-        if op == "build_index":
-            params = dict(request.get("params", {}))
-            params.setdefault("graph", str(request.get("graph", "hnsw")))
-            spec = spec_from_dict({"kind": "build_index", "params": params,
-                                   "label": request.get("label", "build-index")})
-            result = self.run(spec, request.get("timeout"))
-            return {"ok": True, "result": result_to_dict(result)}
-        if op == "indexes":
-            with self._owner_lock:
-                owners = dict(self._index_owners)
-            return {"ok": True, "indexes": sorted(owners), "owners": owners}
-        if op == "mutate":
-            return {
-                "ok": True,
-                "result": self.apply_mutations(request.get("mutations", [])),
-            }
-        if op == "insert":
-            outcome = self.apply_mutations(
-                [{"kind": "insert", "payload": request.get("payload")}]
-            )
-            return {"ok": True, "id": outcome["inserted_ids"][0], "result": outcome}
-        if op == "remove":
-            outcome = self.apply_mutations(
-                [{"kind": "remove", "id": int(request["id"])}]
-            )
-            return {"ok": True, "result": outcome}
-        if op == "subscribe":
-            return {"ok": True, **self.subscribe(request)}
-        if op == "deltas":
-            return {
-                "ok": True,
-                **self.subscription_deltas(
-                    int(request["sub_id"]), int(request.get("since", 0))
-                ),
-            }
-        if op == "unsubscribe":
-            self.unsubscribe(int(request["sub_id"]))
-            return {"ok": True, "sub_id": int(request["sub_id"])}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        """Answer one protocol request through the shared op table."""
+        return dispatch(self, request)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1048,3 +949,22 @@ class ShardedStats:
     def to_dict(self) -> Dict[str, Any]:
         """The stats payload (already JSON-friendly)."""
         return self._payload
+
+
+def _mirror_subscription(
+    sub_id: int, params: Dict[str, Any], reply: Dict[str, Any]
+) -> Subscription:
+    """A shard's wire answer as a :class:`Subscription` under ``sub_id``.
+
+    Inverts :meth:`Subscription.result_dict`, so the mirror serialises
+    exactly as the shard's own subscription does.
+    """
+    kind, wire = reply["kind"], reply["result"]
+    if kind == "knn":
+        result: Any = [tuple(pair) for pair in wire["neighbors"]]
+    else:
+        result = {
+            int(u): tuple(tuple(pair) for pair in row)
+            for u, row in wire["rows"].items()
+        }
+    return Subscription(sub_id, kind, params, result, seq=int(reply["seq"]))

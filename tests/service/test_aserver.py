@@ -7,6 +7,7 @@ import socket
 import pytest
 
 from repro.service import AsyncProximityServer, ProximityEngine, send_request
+from repro.service.aserver import MAX_LINE_BYTES
 from repro.service.server import parse_target
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
 
@@ -116,6 +117,34 @@ class TestProtocolErrors:
         reply = send_request(sock, {"op": "submit", "spec": {}})
         assert reply["ok"] is False
         assert "KeyError" in reply["error"]
+
+
+class TestLongLines:
+    def test_accepts_a_million_candidate_submit(self, served):
+        _, sock = served
+        # As long as a submit naming every object of a Flickr1M-scale
+        # dataset, far past asyncio's default 64 KiB line limit.
+        submit = {"op": "submit", "spec": {"kind": "knn", "params": {
+            "query": 0, "k": 5, "candidates": list(range(1_000_000))}}}
+        pad = "x" * len(json.dumps(submit))
+        assert len(pad) < MAX_LINE_BYTES
+        reply = send_request(sock, {"op": "ping", "pad": pad})
+        assert reply == {"ok": True, "op": "ping"}
+
+    def test_over_limit_answers_error_then_closes(self, served):
+        _, sock = served
+        line = json.dumps({"op": "ping", "pad": "x" * MAX_LINE_BYTES}) + "\n"
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.settimeout(30)
+            client.connect(sock)
+            client.sendall(line.encode())
+            stream = client.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert stream.readline() == b""  # the server closed the connection
+        assert reply["ok"] is False
+        assert "longer than" in reply["error"]
+        # The server itself is unharmed.
+        assert send_request(sock, {"op": "ping"})["ok"]
 
 
 def _http_get(port, path, method="GET"):

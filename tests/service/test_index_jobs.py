@@ -8,7 +8,7 @@ from repro.bounds import TriScheme
 from repro.core.resolver import SmartResolver
 from repro.graphs import build_hnsw, graph_search
 from repro.service import JobSpec, JobStatus, ProximityEngine
-from repro.service.server import handle_engine_request
+from repro.service.server import dispatch
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
 
 
@@ -158,7 +158,7 @@ class TestShardedRouting:
             assert result.ok, result.error
         listing = sharded.handle_request({"op": "indexes"})
         assert listing["indexes"] == ["a", "b"]
-        assert sorted(listing["owners"].values()) == [0, 1]
+        assert sorted(sharded.indexes.values()) == [0, 1]
 
         # Searches route to the shard that built the graph.
         for name in ("a", "b"):
@@ -203,19 +203,19 @@ class TestShardedRouting:
 
 class TestServerOps:
     def test_build_index_op_builds_and_lists(self, engine):
-        reply = handle_engine_request(
+        reply = dispatch(
             engine, {"op": "build_index", "graph": "nsg", "params": {"r": 4, "k": 8}}
         )
         assert reply["ok"] and reply["result"]["status"] == "completed"
         assert reply["result"]["value"]["name"] == "nsg"
-        listing = handle_engine_request(engine, {"op": "indexes"})
+        listing = dispatch(engine, {"op": "indexes"})
         assert listing == {"ok": True, "indexes": ["nsg"]}
 
     def test_search_via_submit_op_round_trips_json(self, engine):
-        handle_engine_request(
+        dispatch(
             engine, {"op": "build_index", "graph": "hnsw", "params": {"m": 4, "ef": 12}}
         )
-        reply = handle_engine_request(
+        reply = dispatch(
             engine,
             {"op": "submit",
              "spec": {"kind": "search_index", "params": {"query": 4, "k": 3}}},

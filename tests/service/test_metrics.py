@@ -16,7 +16,12 @@ import threading
 import pytest
 
 from repro.obs import MetricsRegistry, registry_totals
-from repro.service import JobSpec, ProximityEngine, ProximityServer, send_request
+from repro.service import (
+    AsyncProximityServer,
+    JobSpec,
+    ProximityEngine,
+    send_request,
+)
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
 
 
@@ -139,7 +144,7 @@ class TestRegistryReconciliation:
 class TestMetricsOp:
     def test_metrics_op_returns_exposition_text(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             engine.run(JobSpec(kind="knn", params={"query": 0, "k": 3}), timeout=30)
             response = send_request(sock, {"op": "metrics"})
         assert response["ok"]
@@ -150,7 +155,7 @@ class TestMetricsOp:
 
     def test_render_metrics_matches_stats_op(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             engine.run(JobSpec(kind="mst", params={}), timeout=60)
             stats = send_request(sock, {"op": "stats"})["stats"]
             parsed = parse_prometheus(send_request(sock, {"op": "metrics"})["metrics"])
@@ -185,7 +190,7 @@ class TestHttpScrape:
 
     def test_get_metrics_returns_prometheus_text(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             engine.run(JobSpec(kind="knn", params={"query": 2, "k": 3}), timeout=30)
             status, headers, body = self.http_get(sock, "/metrics")
         assert status.startswith("HTTP/1.0 200")
@@ -198,7 +203,7 @@ class TestHttpScrape:
 
     def test_http_body_reconciles_with_engine_stats(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             soak(engine, jobs_per_thread=2, threads=2)
             status, _, body = self.http_get(sock, "/metrics")
             stats = engine.snapshot_stats()
@@ -213,7 +218,7 @@ class TestHttpScrape:
 
     def test_head_metrics_has_no_body(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             status, headers, body = self.http_get(sock, "/metrics", method="HEAD")
         assert status.startswith("HTTP/1.0 200")
         assert int(headers["content-length"]) > 0
@@ -221,12 +226,12 @@ class TestHttpScrape:
 
     def test_unknown_path_is_404(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             status, _, _ = self.http_get(sock, "/nope")
         assert status.startswith("HTTP/1.0 404")
 
     def test_json_protocol_still_works_alongside_http(self, engine, tmp_path):
         sock = str(tmp_path / "engine.sock")
-        with ProximityServer(engine, sock):
+        with AsyncProximityServer(engine, socket_path=sock):
             self.http_get(sock, "/metrics")
             assert send_request(sock, {"op": "ping"})["ok"]

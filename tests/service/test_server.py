@@ -1,11 +1,11 @@
-"""Unit tests for the local-socket server and its JSON-lines protocol."""
+"""Unit tests for the Unix-socket server and its JSON-lines protocol."""
 
 import json
 import socket
 
 import pytest
 
-from repro.service import ProximityEngine, ProximityServer, send_request
+from repro.service import AsyncProximityServer, ProximityEngine, send_request
 from repro.service.server import jsonable, result_to_dict, spec_from_dict
 from repro.service.jobs import JobResult, JobStatus
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
@@ -20,7 +20,7 @@ def space(rng):
 def served(space, tmp_path):
     engine = ProximityEngine.for_space(space, provider="tri", job_workers=2)
     sock = str(tmp_path / "engine.sock")
-    with ProximityServer(engine, sock) as server:
+    with AsyncProximityServer(engine, socket_path=sock) as server:
         yield engine, server, sock
     engine.close(snapshot=False)
 
@@ -82,9 +82,15 @@ class TestProtocol:
         assert not response["ok"]
 
     def test_many_requests_one_connection(self, served):
-        _, server, _ = served
-        for _ in range(3):
-            assert server.handle_request({"op": "ping"})["ok"]
+        _, _, sock_path = served
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.settimeout(10)
+            client.connect(sock_path)
+            stream = client.makefile("rwb")
+            for _ in range(3):
+                stream.write(b'{"op": "ping"}\n')
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
 
 
 class TestSerialisation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dynamic import DynamicObjectSet
-from repro.service import ProximityEngine, ProximityServer, send_request
+from repro.service import AsyncProximityServer, ProximityEngine, send_request
 from repro.service.server import mutation_from_dict
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
 
@@ -18,7 +18,7 @@ def served(space, tmp_path):
     objects = DynamicObjectSet.wrap(space, initial=16)
     engine = ProximityEngine.for_space(objects, provider="tri", job_workers=1)
     sock = str(tmp_path / "dyn.sock")
-    with ProximityServer(engine, sock):
+    with AsyncProximityServer(engine, socket_path=sock):
         yield engine, objects, sock
     engine.close(snapshot=False)
 

@@ -151,7 +151,8 @@ class TestCoordinatorSurface:
         assert text.count("# TYPE repro_jobs_submitted_total") == 1
 
     def test_handle_request_matches_server_protocol(self, sharded):
-        assert sharded.handle_request({"op": "ping"})["shards"] == 2
+        assert sharded.handle_request({"op": "ping"})["ok"]
+        assert sharded.plan.num_shards == 2
         reply = sharded.handle_request(
             {"op": "submit", "spec": {"kind": "knn", "params": {"query": 3, "k": 2}}}
         )

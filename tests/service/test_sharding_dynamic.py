@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.datasets.facades import flickr_space
-from repro.dynamic import DynamicObjectSet
+from repro.dynamic import DynamicObjectSet, Insert, Remove
 from repro.service import ProximityEngine, ShardedEngine
 from repro.service.jobs import JobSpec
-from repro.service.server import mutation_from_dict
 from repro.spaces.handles import handle_for
 
 N = 36
@@ -30,22 +29,16 @@ class TestStaticModeGuard:
         engine = ShardedEngine(handle, num_shards=2, provider="none")
         try:
             with pytest.raises(ConfigurationError, match="dynamic=True"):
-                engine.apply_mutations([{"kind": "remove", "id": 0}])
+                engine.apply_mutations([Remove(0)])
         finally:
             engine.close()
 
 
 class TestBroadcastMutations:
     def test_batch_applies_identically_on_every_shard(self, dynamic):
-        result = dynamic.apply_mutations(
-            [
-                {"kind": "remove", "id": 4},
-                {"kind": "remove", "id": 21},
-                {"kind": "insert", "payload": 4},
-            ]
-        )
-        assert result["removed_ids"] == [4, 21]
-        assert result["inserted_ids"] == [4]  # deterministic min-slot recycle
+        result = dynamic.apply_mutations([Remove(4), Remove(21), Insert(4)])
+        assert result.removed_ids == [4, 21]
+        assert result.inserted_ids == [4]  # deterministic min-slot recycle
         # Every shard reports the same post-batch graph epoch.
         stats = dynamic.stats()
         epochs = {row["graph_epoch"] for row in stats["shards"]
@@ -82,7 +75,7 @@ class TestStaleStoreAfterMutation:
         space = handle.space()
         victim = 4
         payload = max(range(N), key=lambda obj: space.distance(victim, obj))
-        batch = [{"kind": "remove", "id": victim}, {"kind": "insert", "payload": payload}]
+        batch = [Remove(victim), Insert(payload)]
         engine = ShardedEngine(handle, num_shards=2, provider="tri", dynamic=True)
         single = ProximityEngine.for_space(
             DynamicObjectSet.wrap(space), provider="none", job_workers=1
@@ -90,8 +83,8 @@ class TestStaleStoreAfterMutation:
         try:
             engine.run(JobSpec(kind="knn", params={"query": victim, "k": 3}))
             assert engine.store.num_edges == N - 1
-            assert engine.apply_mutations(batch)["inserted_ids"] == [victim]
-            single.apply_mutations([mutation_from_dict(m) for m in batch])
+            assert engine.apply_mutations(batch).inserted_ids == [victim]
+            single.apply_mutations(batch)
             queries = [victim] + [
                 obj for region in engine.plan.regions for obj in region[:3]
                 if obj != victim
@@ -107,15 +100,15 @@ class TestStaleStoreAfterMutation:
 
 class TestShardedSubscriptions:
     def test_subscribe_and_deltas_round_trip(self, dynamic):
-        sub = dynamic.subscribe({"kind": "knn", "query": 0, "k": 3})
-        assert sub["sub_id"] >= 1 and "result" in sub
-        victim = int(sub["result"]["neighbors"][0][1])
-        dynamic.apply_mutations([{"kind": "remove", "id": victim},
-                                 {"kind": "insert", "payload": victim}])
-        polled = dynamic.subscription_deltas(sub["sub_id"], since=0)
-        assert polled["sub_id"] == sub["sub_id"]
-        assert polled["deltas"]  # the victim's removal surfaced a delta
-        dynamic.unsubscribe(sub["sub_id"])
+        sub = dynamic.subscribe_knn(0, 3)
+        assert sub.sub_id >= 1 and len(sub.result) == 3
+        victim = int(sub.result[0][1])
+        dynamic.apply_mutations([Remove(victim), Insert(victim)])
+        polled = dynamic.subscription_deltas(sub.sub_id, since=0)
+        assert polled  # the victim's removal surfaced a delta
+        assert dynamic.subscriptions[sub.sub_id].seq == polled[-1].seq
+        dynamic.unsubscribe(sub.sub_id)
+        assert sub.sub_id not in dynamic.subscriptions
 
     def test_unknown_sub_id_raises(self, dynamic):
         with pytest.raises(KeyError):
