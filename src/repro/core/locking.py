@@ -20,6 +20,13 @@ lock may re-enter the read side freely — bound predicates nest bound
 queries).  Lock *upgrading* (read → write while still holding the read
 side) deadlocks by construction and is rejected with ``RuntimeError``;
 callers release their read hold before committing.
+
+A reader may hold the read side for a long stretch of work — an engine job
+holds it once for its whole run — and still keep writers waiting no longer
+than one short read: :meth:`ReadWriteLock.step_aside`, called between
+reads, gives the hold up and re-takes it whenever a writer is queued, and
+:meth:`ReadWriteLock.read_released` gives it up around work that must not
+hold it (an unlocked oracle call, a commit's write hold).
 """
 
 from __future__ import annotations
@@ -83,8 +90,22 @@ class ReadWriteLock:
             return
         with self._cond:
             self._active_readers -= 1
-            if self._active_readers == 0:
+            # Only writers wait on readers; waiting readers wait on writers.
+            if self._active_readers == 0 and self._waiting_writers:
                 self._cond.notify_all()
+
+    def step_aside(self) -> None:
+        """Let a queued writer in: release and re-take this thread's read hold.
+
+        A no-op unless a writer is waiting and the calling thread holds
+        exactly one read hold and no write hold (a nested hold cannot be
+        given up without breaking its outer scope).
+        """
+        if self._waiting_writers:
+            local = self._counts()
+            if local.reads == 1 and not local.writes:
+                self.release_read()
+                self.acquire_read()
 
     # -- write side ---------------------------------------------------------
 
@@ -130,6 +151,15 @@ class ReadWriteLock:
             yield
         finally:
             self.release_read()
+
+    @contextmanager
+    def read_released(self) -> Iterator[None]:
+        """``with`` helper giving up this thread's read hold for the block."""
+        self.release_read()
+        try:
+            yield
+        finally:
+            self.acquire_read()
 
     @contextmanager
     def write_locked(self) -> Iterator[None]:

@@ -399,10 +399,10 @@ class SmartResolver:
         ``items`` yields ``((i, j), threshold)`` — a pair is fetched when its
         distance is unknown and its lower bound is below ``threshold``,
         i.e. exactly the pairs a subsequent serial scan would resolve one by
-        one.  No-op (returns 0) without a batcher, so algorithms call this
-        unconditionally before their decision loops.
+        one.  No-op (returns 0) unless :attr:`batched`, so algorithms call
+        this unconditionally before their decision loops.
         """
-        if self.batcher is None:
+        if not self.batched:
             return 0
         candidates: List[Tuple[Pair, float]] = []
         for (i, j), threshold in items:

@@ -12,14 +12,18 @@ single answer.
 
 Concurrency discipline (see :mod:`repro.core.locking`):
 
-* bound queries and graph lookups run under the **shared** side of a
-  :class:`~repro.core.locking.ReadWriteLock`;
-* expensive distance evaluations run **unlocked** (they touch no shared
+* each job holds the **shared** side of a
+  :class:`~repro.core.locking.ReadWriteLock` once, for its whole run, so
+  bound queries and graph lookups pay no lock traffic; every bound read
+  first steps aside for a queued writer, so a commit or mutation batch
+  waits for one bound read, never for a whole job;
+* expensive distance evaluations run **unlocked** (the job gives its hold
+  up for them and for the commit that follows; they touch no shared
   state), so slow oracle calls from different jobs overlap;
 * commits — oracle charge, graph insert (which bumps the edge-insert
   epochs), provider update, shared bound-memo invalidation — run under the
-  **exclusive** side, so the epoch-keyed caches built in PR 2 stay sound
-  across interleaved queries.
+  **exclusive** side, so the epoch-keyed bound caches stay sound across
+  interleaved queries.
 
 Per-job fault isolation: a job that exhausts its oracle-call budget ends
 ``partial`` (with the refused pairs listed), a cancelled or deadline-expired
@@ -151,8 +155,10 @@ class _JobRuntime:
 class _JobResolver(SmartResolver):
     """A per-job resolver enforcing the engine's reader/writer discipline.
 
-    Bound queries take the shared lock; distance-function evaluations run
-    unlocked; commits take the exclusive lock.  The per-pair bound memo is
+    Runs inside the shared hold its job takes once (see
+    :meth:`ProximityEngine._execute`): bound reads step aside for a queued
+    writer, and a resolution gives the hold up for its distance-function
+    evaluation and exclusive-lock commit.  The per-pair bound memo is
     the *engine's* shared dict — epoch keys keep it sound across jobs, and
     an entry one job computes is served to every other job for free.
     """
@@ -195,45 +201,35 @@ class _JobResolver(SmartResolver):
             rt.touched.add(key)
             rt.warm_hits += 1
 
-    # -- locked read paths ---------------------------------------------------
-
-    def known(self, i: int, j: int):
-        with self._engine._rw.read_locked():
-            return super().known(i, j)
+    # -- bound reads: a writer may commit before each -------------------------
 
     def bounds(self, i: int, j: int):
-        with self._engine._rw.read_locked():
-            return super().bounds(i, j)
+        self._engine._rw.step_aside()
+        return super().bounds(i, j)
 
     def bounds_many(self, pairs):
         self._check_cancelled()
-        with self._engine._rw.read_locked():
-            return super().bounds_many(pairs)
+        self._engine._rw.step_aside()
+        return super().bounds_many(pairs)
 
     def _bounds_for_decision(self, i: int, j: int):
-        with self._engine._rw.read_locked():
-            return super()._bounds_for_decision(i, j)
+        self._engine._rw.step_aside()
+        return super()._bounds_for_decision(i, j)
 
-    def _compute_bounds(self, key: Pair):
-        with self._engine._rw.read_locked():
-            return super()._compute_bounds(key)
-
-    # -- locked write paths --------------------------------------------------
+    # -- resolution: evaluate unlocked, commit exclusively ---------------------
 
     def distance(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
         engine = self._engine
-        with engine._rw.read_locked():
-            cached = self.graph.get(i, j)
+        cached = self.graph.get(i, j)
         key = canonical_pair(i, j)
         if cached is not None:
             self._note_warm(key)
             return cached
         self._check_cancelled()
         if self.stretch > 1.0:
-            # Bound reads inside the gate take the read lock themselves; an
-            # accepted estimate never commits, so no write lock is needed.
+            # An accepted estimate never commits, so no write lock is needed.
             estimate = self._approx_estimate(i, j)
             if estimate is not None:
                 return estimate
@@ -241,16 +237,17 @@ class _JobResolver(SmartResolver):
             value = self.oracle.peek(*key)
         if value is None:
             self._guard_budget([key])
-            # The expensive call: deliberately outside every lock so slow
-            # oracle requests from different jobs overlap.
-            value = float(self.oracle.distance_fn(*key))
-        return self._commit([(key, value)])[key]
+        with engine._rw.read_released():
+            if value is None:
+                # The expensive call: deliberately outside every lock so slow
+                # oracle requests from different jobs overlap.
+                value = float(self.oracle.distance_fn(*key))
+            return self._commit([(key, value)])[key]
 
     def resolve_many(self, pairs: Iterable[Pair]) -> Dict[Pair, float]:
         engine = self._engine
         keys = sorted({canonical_pair(i, j) for i, j in pairs if i != j})
-        with engine._rw.read_locked():
-            unknown = [key for key in keys if self.graph.get(*key) is None]
+        unknown = [key for key in keys if self.graph.get(*key) is None]
         unknown_set = set(unknown)
         for key in keys:
             if key not in unknown_set:
@@ -270,26 +267,28 @@ class _JobResolver(SmartResolver):
                         values[key] = v
             if misses:
                 self._guard_budget(misses)
-                values.update(engine._evaluate(misses))
-            self._commit([(key, values[key]) for key in unknown])
+            with engine._rw.read_released():
+                if misses:
+                    values.update(engine._evaluate(misses))
+                self._commit([(key, values[key]) for key in unknown])
             if self.batched:
                 self.stats.batched_resolutions += len(unknown)
-        with engine._rw.read_locked():
-            if self._approx_cache:
-                approx = self._approx_cache
-                out: Dict[Pair, float] = {}
-                for key in keys:
-                    exact = self.graph.get(*key)
-                    out[key] = exact if exact is not None else approx[key]
-                return out
-            return {key: self.graph.get(*key) for key in keys}
+        if self._approx_cache:
+            approx = self._approx_cache
+            out: Dict[Pair, float] = {}
+            for key in keys:
+                exact = self.graph.get(*key)
+                out[key] = exact if exact is not None else approx[key]
+            return out
+        return {key: self.graph.get(*key) for key in keys}
 
     def _commit(self, items: List[Tuple[Pair, float]]) -> Dict[Pair, float]:
         """Commit evaluated distances under the exclusive lock.
 
         Items are processed in the given (sorted) order: oracle charge,
         graph insert, provider update, shared-memo invalidation — exactly
-        the serial resolver's sequence, made atomic against readers.
+        the serial resolver's sequence, made atomic against readers.  The
+        caller has given its job's read hold up (an upgrade would deadlock).
         """
         engine = self._engine
         rt = self._runtime
@@ -320,27 +319,6 @@ class _JobResolver(SmartResolver):
     def batched(self) -> bool:
         """Frontier queries use the batch paths when the engine has an executor."""
         return self._engine.executor is not None
-
-    def prefetch_thresholds(self, items) -> int:
-        if not self.batched:
-            return 0
-        candidates: List[Tuple[Pair, float]] = []
-        with self._engine._rw.read_locked():
-            for (i, j), threshold in items:
-                if i == j or self.graph.get(i, j) is not None:
-                    continue
-                candidates.append(((i, j), threshold))
-        if not candidates:
-            return 0
-        frontier_bounds = self.bounds_many([pair for pair, _ in candidates])
-        wanted = [
-            pair
-            for (pair, threshold), b in zip(candidates, frontier_bounds)
-            if b.lower < threshold
-        ]
-        if wanted:
-            self.resolve_many(wanted)
-        return len(wanted)
 
     def collect_stats(self) -> ResolverStats:
         # Provider-level counters (dijkstra_runs) are engine-wide, not
@@ -843,6 +821,8 @@ class ProximityEngine:
                 stack.enter_context(self.tracer.span(spec.kind))
                 if isinstance(oracle_tracer, SpanTracer):
                     stack.enter_context(oracle_tracer.span(label))
+                # One shared hold for the whole job (see _JobResolver).
+                stack.enter_context(self._rw.read_locked())
                 value = self._run_kind(resolver, spec)
         except JobBudgetExhaustedError as exc:
             status = JobStatus.PARTIAL

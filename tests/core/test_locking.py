@@ -158,3 +158,95 @@ class TestExclusion:
         tw.join(timeout=5)
         tr.join(timeout=5)
         assert order[0] == "write"
+
+
+def _wait_for(predicate, timeout=5.0):
+    """Poll ``predicate`` until true; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.001)
+
+
+def _queue_writer(lock):
+    """Start a writer thread; return it and the event it sets once inside."""
+    acquired = threading.Event()
+
+    def writer():
+        with lock.write_locked():
+            acquired.set()
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    _wait_for(lambda: lock._waiting_writers == 1)
+    return thread, acquired
+
+
+class TestWakeups:
+    def test_writer_queued_behind_two_readers_wakes_on_the_last_exit(self):
+        lock = ReadWriteLock()
+        holding = [threading.Event(), threading.Event()]
+        leave = [threading.Event(), threading.Event()]
+
+        def reader(idx):
+            with lock.read_locked():
+                holding[idx].set()
+                leave[idx].wait(5)
+
+        readers = [threading.Thread(target=reader, args=(i,), daemon=True) for i in range(2)]
+        for t in readers:
+            t.start()
+        for event in holding:
+            assert event.wait(5)
+        writer, acquired = _queue_writer(lock)
+        leave[0].set()
+        readers[0].join(5)
+        assert not acquired.is_set()  # the second reader still holds
+        leave[1].set()
+        assert acquired.wait(5)
+        for t in (readers[0], readers[1], writer):
+            t.join(5)
+            assert not t.is_alive()
+
+
+class TestStepAside:
+    def test_noop_without_a_waiting_writer(self):
+        lock = ReadWriteLock()
+        with lock.read_locked():
+            lock.step_aside()
+            assert lock.read_held
+            assert lock._active_readers == 1
+
+    def test_queued_writer_runs_before_step_aside_returns(self):
+        lock = ReadWriteLock()
+        lock.acquire_read()
+        try:
+            writer, acquired = _queue_writer(lock)
+            lock.step_aside()
+            assert acquired.is_set()
+            assert lock.read_held
+        finally:
+            lock.release_read()
+        writer.join(5)
+        assert not writer.is_alive()
+
+    def test_nested_hold_is_kept(self):
+        lock = ReadWriteLock()
+        with lock.read_locked():
+            with lock.read_locked():
+                writer, acquired = _queue_writer(lock)
+                lock.step_aside()  # cannot give up the outer scope's hold
+                assert not acquired.is_set()
+        assert acquired.wait(5)
+        writer.join(5)
+        assert not writer.is_alive()
+
+    def test_read_released_gives_the_hold_up_for_the_block(self):
+        lock = ReadWriteLock()
+        with lock.read_locked():
+            with lock.read_released():
+                assert not lock.read_held
+                with lock.write_locked():  # no upgrade error: nothing held
+                    assert lock.write_held
+            assert lock.read_held
+        assert not lock.read_held
