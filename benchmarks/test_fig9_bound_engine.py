@@ -2,9 +2,10 @@
 
 Two ablations of the bound engine, both output-identical by construction:
 
-* **Tri**: the per-triangle Python loop vs the segmented frontier kernel
-  over the graph's flat adjacency mirrors.  Same bounds, same oracle
-  calls; only bound CPU moves (≥3x at n=400 with warmed adjacency).
+* **Tri**: the per-triangle Python loop vs the batched ``bounds_many``
+  path (the CSR frontier sweep for these shared-endpoint frontiers).  Same
+  bounds, same oracle calls; only bound CPU moves (≥3x at n=400 with
+  warmed adjacency).
 * **SPLUB**: two fresh Dijkstras per query vs per-source trees memoised on
   the graph epoch.  A ``knearest(q, ·)`` frontier pays one tree for ``q``
   instead of one per pair.
@@ -18,6 +19,7 @@ import time
 import numpy as np
 
 from repro.algorithms import knn_graph
+from repro.bounds import tri as tri_module
 from repro.bounds.splub import Splub
 from repro.bounds.tri import TriScheme
 from repro.core.resolver import SmartResolver
@@ -61,7 +63,7 @@ def test_tri_vectorized_kernel_speedup(benchmark, report):
         frontiers.append([(u, c) for c in pool])
 
     start = time.perf_counter()
-    loop_bounds = [[tri.bounds_scalar(i, j) for i, j in f] for f in frontiers]
+    loop_bounds = [[tri._bounds_loop(i, j) for i, j in f] for f in frontiers]
     loop_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -82,17 +84,22 @@ def test_tri_vectorized_kernel_speedup(benchmark, report):
     benchmark.pedantic(lambda: tri.bounds_many(frontiers[0]), rounds=3, iterations=1)
 
 
-def test_tri_kernels_identical_oracle_calls(report):
+def test_tri_kernels_identical_oracle_calls(report, monkeypatch):
     """kNN-graph under scalar-only vs vector-only Tri: identical everything."""
     rng = np.random.default_rng(3)
     space = EuclideanSpace(rng.uniform(0.0, 1.0, size=(150, 2)))
     outcomes = {}
-    for label, threshold in (("scalar", math.inf), ("vector", 0)):
+    # "scalar" answers every pair with the loop; "vector" sends every
+    # per-pair query to the array kernel and keeps the frontier sweep.
+    for label, min_degree, min_pairs in (
+        ("scalar", math.inf, math.inf),
+        ("vector", 0, tri_module._FRONTIER_MIN_PAIRS),
+    ):
+        monkeypatch.setattr(tri_module, "_VECTOR_MIN_DEGREE", min_degree)
+        monkeypatch.setattr(tri_module, "_FRONTIER_MIN_PAIRS", min_pairs)
         oracle = space.oracle()
         resolver = SmartResolver(oracle)
-        tri = TriScheme(resolver.graph, space.diameter_bound())
-        tri.vector_threshold = threshold
-        resolver.bounder = tri
+        resolver.bounder = TriScheme(resolver.graph, space.diameter_bound())
         result = knn_graph(resolver, k=5)
         outcomes[label] = (result.neighbors, oracle.calls)
     assert outcomes["scalar"][0] == outcomes["vector"][0]

@@ -1,21 +1,16 @@
-"""Kernel acceptance benchmarks — compiled sweeps and the approximate mode.
+"""Kernel acceptance benchmarks — the CSR frontier sweep and the approximate mode.
 
 Two acceptance experiments for the CSR kernel layer
 (:mod:`repro.bounds.kernels`):
 
-* the Tri frontier sweep at ``n = 2000`` must run at least **3x** faster
-  through the CSR kernel than through the PR-2 per-node-mirror kernel, with
-  byte-identical bounds and triangle counts — and a host algorithm run
-  under either kernel must produce identical oracle-call counts and
-  resolved-edge sequences;
+* the Tri frontier sweep at ``n = 2000`` must return bounds byte-identical
+  to per-pair queries (its wall time is recorded for the trend gate), and
+  a host algorithm run with or without the sweep must produce identical
+  oracle-call counts and resolved-edge sequences;
 * the approximate resolver mode at ``stretch = 1.5`` must cut oracle calls
   by at least **40%** on a kNN-graph build over a landmark sketch, with the
   realised stretch of every accepted answer within budget (the
   ``repro_answer_stretch`` histogram never exceeds it).
-
-A parity test pins the compiled backend byte-identical to the NumPy
-fallback on random CSR fixtures (skipped when numba is absent — the CI
-numba leg runs it).
 
 Set ``KERNELS_BENCH_JSON`` to a path to dump the raw measurements for
 ``scripts/bench_to_json.py`` (CI turns them into ``BENCH_kernels.json``).
@@ -27,21 +22,18 @@ import os
 import time
 
 import numpy as np
-import pytest
 
-from repro.bounds import kernels
+from repro.bounds import tri as tri_module
 from repro.bounds.tri import TriScheme
-from repro.core.oracle import DistanceOracle
 from repro.core.partial_graph import PartialDistanceGraph
 from repro.core.resolver import SmartResolver
 from repro.datasets import sf_poi_space
 from repro.harness import render_table
-from repro.harness.runner import run_experiment
+from repro.harness.runner import ALGORITHMS, run_experiment
 from repro.obs import MetricsRegistry
 
 N_FRONTIER = 2000
 M_FRONTIER = 80_000
-SPEEDUP_FLOOR = 3.0
 
 STRETCH = 1.5
 STRETCH_N = 300
@@ -84,53 +76,40 @@ def _best_of(fn, reps=5):
     return out, best
 
 
-def test_frontier_sweep_3x_and_identical_decisions(report):
+def test_frontier_sweep_identical_to_per_pair(report, monkeypatch):
     graph = _random_edge_graph(N_FRONTIER, M_FRONTIER, seed=5)
     tri = TriScheme(graph, max_distance=2.0)
-    others = list(range(1, N_FRONTIER))
+    others = [c for c in range(1, N_FRONTIER) if graph.get(0, c) is None]
 
-    tri.frontier_csr_threshold = math.inf  # pin the PR-2 mirror kernel
-    tri._bounds_frontier(0, others)
-    legacy, legacy_s = _best_of(lambda: tri._bounds_frontier(0, others))
-
-    tri.frontier_csr_threshold = 8  # default: CSR kernel for large frontiers
     tri._bounds_frontier(0, others)
     csr, csr_s = _best_of(lambda: tri._bounds_frontier(0, others))
+    per_pair = [tri.bounds(0, c) for c in others]
+    assert csr == per_pair, "CSR sweep must be byte-identical to per-pair bounds"
 
-    assert legacy == csr, "CSR sweep must be byte-identical to the mirror kernel"
-    speedup = legacy_s / csr_s
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"CSR frontier sweep only {speedup:.2f}x vs mirror kernel "
-        f"(floor {SPEEDUP_FLOOR}x): {legacy_s * 1e3:.2f} ms -> {csr_s * 1e3:.2f} ms"
-    )
-
-    # Kernel choice must be invisible to the host algorithm: same oracle
+    # The sweep must be invisible to the host algorithm: same oracle
     # charges, same resolved edges in the same order.
-    def run_prim(threshold):
+    def run_prim(frontier_min_pairs):
+        monkeypatch.setattr(tri_module, "_FRONTIER_MIN_PAIRS", frontier_min_pairs)
         space = sf_poi_space(n=200, road=False)
         oracle = space.oracle()
         resolver = SmartResolver(oracle)
-        scheme = TriScheme(resolver.graph, space.diameter_bound())
-        scheme.frontier_csr_threshold = threshold
-        resolver.bounder = scheme
-        from repro.harness.runner import ALGORITHMS
-
+        resolver.bounder = TriScheme(resolver.graph, space.diameter_bound())
         ALGORITHMS["prim"](resolver)
         i, j, w = resolver.graph.edge_arrays()
         return oracle.calls, list(zip(i.tolist(), j.tolist(), w.tolist()))
 
-    calls_mirror, edges_mirror = run_prim(math.inf)
-    calls_csr, edges_csr = run_prim(8)
-    assert calls_mirror == calls_csr
-    assert edges_mirror == edges_csr
+    default_min_pairs = tri_module._FRONTIER_MIN_PAIRS
+    calls_pairs, edges_pairs = run_prim(math.inf)
+    calls_csr, edges_csr = run_prim(default_min_pairs)
+    assert calls_pairs == calls_csr
+    assert edges_pairs == edges_csr
 
     report(
         render_table(
-            ["kernel", "sweep (ms)", "speedup", "prim oracle calls"],
+            ["kernel", "sweep (ms)", "prim oracle calls"],
             [
-                ["mirrors (PR-2)", round(legacy_s * 1e3, 2), 1.0, calls_mirror],
-                [f"csr ({kernels.backend()})", round(csr_s * 1e3, 2),
-                 round(speedup, 2), calls_csr],
+                ["per-pair", "-", calls_pairs],
+                ["csr frontier", round(csr_s * 1e3, 2), calls_csr],
             ],
             title=f"Tri frontier sweep, n={N_FRONTIER}, m={M_FRONTIER}",
         )
@@ -139,10 +118,7 @@ def test_frontier_sweep_3x_and_identical_decisions(report):
         {
             "frontier_n": N_FRONTIER,
             "frontier_edges": M_FRONTIER,
-            "frontier_mirror_seconds": legacy_s,
             "frontier_csr_seconds": csr_s,
-            "frontier_speedup": speedup,
-            "kernel_backend": kernels.backend(),
         }
     )
     _dump_raw()
@@ -198,41 +174,3 @@ def test_stretch_1_5_cuts_oracle_calls_40pct(report):
         }
     )
     _dump_raw()
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_compiled_kernels_match_fallback_bitwise():
-    graph = _random_edge_graph(400, 4000, seed=11)
-    indptr, indices, weights = graph.csr_arrays()
-    n = graph.n
-    others = np.arange(1, n, dtype=np.int64)
-
-    impls = kernels.implementations("tri_frontier")
-    for relaxation in (1.0, 1.15):
-        ref = impls["numpy"](indptr, indices, weights, n, 0, others, 2.0, relaxation)
-        got = impls["numba"](indptr, indices, weights, n, 0, others, 2.0, relaxation)
-        assert np.array_equal(ref[0], got[0]) and np.array_equal(ref[1], got[1])
-        assert ref[2] == got[2]
-
-    impls = kernels.implementations("sssp")
-    for source in (0, 7, 123):
-        ref = impls["numpy"](indptr, indices, weights, n, source)
-        got = impls["numba"](indptr, indices, weights, n, source)
-        assert np.array_equal(ref, got)
-
-    sp_i = kernels.sssp(indptr, indices, weights, n, 0)
-    sp_j = kernels.sssp(indptr, indices, weights, n, 1)
-    i_ids, j_ids, w = graph.edge_arrays()
-    impls = kernels.implementations("splub_sweep")
-    assert impls["numpy"](sp_i, sp_j, i_ids, j_ids, w) == impls["numba"](
-        sp_i, sp_j, i_ids, j_ids, w
-    )
-
-    rng = np.random.default_rng(3)
-    matrix = rng.random((16, 200))
-    ii = rng.integers(0, 200, 64).astype(np.int64)
-    jj = rng.integers(0, 200, 64).astype(np.int64)
-    impls = kernels.implementations("laesa_sweep")
-    ref = impls["numpy"](matrix, ii, jj)
-    got = impls["numba"](matrix, ii, jj)
-    assert np.array_equal(ref[0], got[0]) and np.array_equal(ref[1], got[1])

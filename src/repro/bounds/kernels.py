@@ -1,49 +1,28 @@
-"""Compiled hot kernels over CSR adjacency arrays.
+"""Hot kernels over CSR adjacency arrays.
 
-The three bound-maintenance loops that dominate CPU once the oracle is
-cheap or sharded — the Tri frontier sweep, the SPLUB Dijkstra relaxation,
-and the LAESA/sketch landmark-matrix sweep — are implemented here twice:
-
-* a **Numba** backend (``@njit``-compiled, used automatically when numba
-  is importable), and
-* a **pure-NumPy fallback** with identical IEEE-754 elementwise operations
-  and order-independent min/max reductions, so both backends return
-  *byte-identical* results (the CI parity job pins this).
+The bound-maintenance loops that dominate CPU once the oracle is cheap or
+sharded — the Tri frontier sweep, the SPLUB Dijkstra relaxation and edge
+sweep, and the LAESA/sketch landmark-matrix sweep — live here as NumPy
+array code.  They perform the same IEEE-754 elementwise operations and
+order-independent min/max reductions as the per-pair reference loops, so
+their results are byte-identical to them.
 
 Every kernel consumes the ``(indptr, indices, weights)`` CSR triple served
 by :meth:`repro.core.partial_graph.PartialDistanceGraph.csr_arrays` (which
 is the shared-memory :meth:`repro.core.csr_store.CSRStore.csr` view when a
 store is bound) instead of rebuilding per-call flat mirrors.
-
-Backend selection happens at import: set ``REPRO_NO_JIT=1`` to force the
-NumPy fallback even when numba is installed (the CI matrix runs the suite
-both ways), or call :func:`disable_jit` / :func:`enable_jit` at runtime
-(the CLI ``--no-jit`` flag does).  :func:`backend` reports which one is
-active.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from heapq import heappop, heappush
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-#: Environment knob: any value other than empty/"0"/"false" forces the
-#: NumPy fallback at import time.
-ENV_NO_JIT = "REPRO_NO_JIT"
 
-
-def _env_disables_jit() -> bool:
-    return os.environ.get(ENV_NO_JIT, "").strip().lower() not in ("", "0", "false")
-
-
-# -- NumPy fallback implementations -----------------------------------------
-
-
-def _tri_frontier_numpy(
+def tri_frontier(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
@@ -51,14 +30,16 @@ def _tri_frontier_numpy(
     u: int,
     others: np.ndarray,
     cap: float,
-    relaxation: float,
+    relaxation: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Tri bounds for every pair ``(u, c)`` over CSR rows, one dense gather.
+    """Tri bounds for every pair ``(u, others[b])`` in one CSR sweep.
 
-    Returns ``(lowers, uppers, triangles)`` aligned with ``others``;
-    candidates without triangles get ``(0, cap)``.  Same scatter/gather +
-    segmented-reduceat shape as the PR-2 mirror kernel, but the candidate
-    rows come from one flat CSR gather instead of per-node mirror lookups.
+    Returns ``(lowers, uppers, triangles_inspected)`` aligned with
+    ``others``, clamped to ``[0, cap]`` exactly like the per-pair Tri
+    kernels; candidates without triangles get ``(0, cap)``.  The
+    candidate-major order scatters ``u``'s row into a dense array, gathers
+    it at every candidate neighbour in one flat CSR gather, and reduces per
+    candidate with ``np.maximum.reduceat`` / ``np.minimum.reduceat``.
     """
     k = others.shape[0]
     lbs = np.zeros(k, dtype=np.float64)
@@ -74,7 +55,7 @@ def _tri_frontier_numpy(
     cand_work = int((indptr[others + 1] - indptr[others]).sum())
     nbr_work = int((indptr[indices[s:e] + 1] - indptr[indices[s:e]]).sum())
     if nbr_work < cand_work:
-        return _tri_frontier_numpy_nbr(
+        return _tri_frontier_nbr(
             indptr, indices, weights, n, u, others, cap, relaxation, lbs, ubs
         )
     dense = np.full(n, math.inf)
@@ -115,7 +96,7 @@ def _tri_frontier_numpy(
     return lbs, ubs, triangles
 
 
-def _tri_frontier_numpy_nbr(
+def _tri_frontier_nbr(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
@@ -173,7 +154,7 @@ def _tri_frontier_numpy_nbr(
     return lbs, ubs, triangles
 
 
-def _sssp_numpy(
+def sssp(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
@@ -204,7 +185,7 @@ def _sssp_numpy(
     return dist
 
 
-def _splub_sweep_numpy(
+def splub_sweep(
     sp_i: np.ndarray,
     sp_j: np.ndarray,
     e_i: np.ndarray,
@@ -222,7 +203,7 @@ def _splub_sweep_numpy(
     return float((e_w - detour).max())
 
 
-def _laesa_sweep_numpy(
+def laesa_sweep(
     matrix: np.ndarray,
     ii: np.ndarray,
     jj: np.ndarray,
@@ -238,316 +219,3 @@ def _laesa_sweep_numpy(
     lowers = np.max(np.abs(cols_i - cols_j), axis=0)
     uppers = np.min(cols_i + cols_j, axis=0)
     return lowers, uppers
-
-
-_NUMPY_IMPL: Dict[str, object] = {
-    "tri_frontier": _tri_frontier_numpy,
-    "sssp": _sssp_numpy,
-    "splub_sweep": _splub_sweep_numpy,
-    "laesa_sweep": _laesa_sweep_numpy,
-}
-
-
-# -- Numba backend -----------------------------------------------------------
-
-try:  # pragma: no cover - exercised only on the numba CI leg
-    if _env_disables_jit():
-        raise ImportError("jit disabled via " + ENV_NO_JIT)
-    from numba import njit as _njit
-except ImportError:  # numba absent (or vetoed): NumPy fallback only
-    _njit = None
-
-if _njit is not None:  # pragma: no cover - exercised only on the numba CI leg
-
-    @_njit(cache=True)
-    def _tri_frontier_numba(indptr, indices, weights, n, u, others, cap, relaxation):
-        k = others.shape[0]
-        lbs = np.zeros(k, dtype=np.float64)
-        ubs = np.full(k, cap, dtype=np.float64)
-        triangles = 0
-        s = indptr[u]
-        e = indptr[u + 1]
-        if e == s:
-            return lbs, ubs, triangles
-        dense = np.full(n, np.inf)
-        for t in range(s, e):
-            dense[indices[t]] = weights[t]
-        c = relaxation
-        for idx in range(k):
-            cand = others[idx]
-            cs = indptr[cand]
-            ce = indptr[cand + 1]
-            if ce == cs:
-                continue
-            lb = -np.inf
-            ub = np.inf
-            for t in range(cs, ce):
-                du = dense[indices[t]]
-                if du == np.inf:
-                    continue
-                wc = weights[t]
-                triangles += 1
-                if c == 1.0:
-                    gap = du - wc
-                    if gap < 0.0:
-                        gap = -gap
-                else:
-                    g1 = du / c - wc
-                    g2 = wc / c - du
-                    gap = g1 if g1 > g2 else g2
-                if gap > lb:
-                    lb = gap
-                tot = du + wc
-                if tot < ub:
-                    ub = tot
-            if c != 1.0:
-                ub = c * ub
-            if lb < 0.0:
-                lb = 0.0
-            if ub > cap:
-                ub = cap
-            if lb > ub:
-                lb = ub
-            lbs[idx] = lb
-            ubs[idx] = ub
-        return lbs, ubs, triangles
-
-    @_njit(cache=True)
-    def _sssp_numba(indptr, indices, weights, n, source):
-        dist = np.full(n, np.inf)
-        dist[source] = 0.0
-        heap_cap = indptr[n] + 1
-        heap_d = np.empty(heap_cap, dtype=np.float64)
-        heap_v = np.empty(heap_cap, dtype=np.int64)
-        heap_d[0] = 0.0
-        heap_v[0] = source
-        size = 1
-        while size > 0:
-            d = heap_d[0]
-            u = heap_v[0]
-            size -= 1
-            # Move the last leaf to the root and sift it down; ties break on
-            # the node id, matching heapq's (d, v) tuple order exactly.
-            heap_d[0] = heap_d[size]
-            heap_v[0] = heap_v[size]
-            pos = 0
-            while True:
-                child = 2 * pos + 1
-                if child >= size:
-                    break
-                right = child + 1
-                if right < size and (
-                    heap_d[right] < heap_d[child]
-                    or (heap_d[right] == heap_d[child] and heap_v[right] < heap_v[child])
-                ):
-                    child = right
-                if heap_d[child] < heap_d[pos] or (
-                    heap_d[child] == heap_d[pos] and heap_v[child] < heap_v[pos]
-                ):
-                    heap_d[pos], heap_d[child] = heap_d[child], heap_d[pos]
-                    heap_v[pos], heap_v[child] = heap_v[child], heap_v[pos]
-                    pos = child
-                else:
-                    break
-            if d > dist[u]:
-                continue
-            for t in range(indptr[u], indptr[u + 1]):
-                v = indices[t]
-                nd = d + weights[t]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heap_d[size] = nd
-                    heap_v[size] = v
-                    cpos = size
-                    size += 1
-                    while cpos > 0:
-                        parent = (cpos - 1) // 2
-                        if heap_d[cpos] < heap_d[parent] or (
-                            heap_d[cpos] == heap_d[parent]
-                            and heap_v[cpos] < heap_v[parent]
-                        ):
-                            heap_d[cpos], heap_d[parent] = heap_d[parent], heap_d[cpos]
-                            heap_v[cpos], heap_v[parent] = heap_v[parent], heap_v[cpos]
-                            cpos = parent
-                        else:
-                            break
-        return dist
-
-    @_njit(cache=True)
-    def _splub_sweep_numba(sp_i, sp_j, e_i, e_j, e_w):
-        best = -np.inf
-        for t in range(e_w.shape[0]):
-            a = sp_i[e_i[t]] + sp_j[e_j[t]]
-            b = sp_i[e_j[t]] + sp_j[e_i[t]]
-            detour = a if a < b else b
-            cand = e_w[t] - detour
-            if cand > best:
-                best = cand
-        return best
-
-    @_njit(cache=True)
-    def _laesa_sweep_numba(matrix, ii, jj):
-        rows = matrix.shape[0]
-        k = ii.shape[0]
-        lowers = np.empty(k, dtype=np.float64)
-        uppers = np.empty(k, dtype=np.float64)
-        for b in range(k):
-            i = ii[b]
-            j = jj[b]
-            lb = -np.inf
-            ub = np.inf
-            for row in range(rows):
-                di = matrix[row, i]
-                dj = matrix[row, j]
-                gap = di - dj
-                if gap < 0.0:
-                    gap = -gap
-                if gap > lb:
-                    lb = gap
-                tot = di + dj
-                if tot < ub:
-                    ub = tot
-            lowers[b] = lb
-            uppers[b] = ub
-        return lowers, uppers
-
-    def _sssp_numba_wrap(indptr, indices, weights, n, source):
-        return _sssp_numba(indptr, indices, weights, int(n), int(source))
-
-    def _tri_frontier_numba_wrap(indptr, indices, weights, n, u, others, cap, c):
-        lbs, ubs, triangles = _tri_frontier_numba(
-            indptr,
-            indices,
-            weights,
-            int(n),
-            int(u),
-            np.ascontiguousarray(others, dtype=np.int64),
-            float(cap),
-            float(c),
-        )
-        return lbs, ubs, int(triangles)
-
-    def _splub_sweep_numba_wrap(sp_i, sp_j, e_i, e_j, e_w):
-        if e_w.size == 0:
-            return -math.inf
-        return float(_splub_sweep_numba(sp_i, sp_j, e_i, e_j, e_w))
-
-    def _laesa_sweep_numba_wrap(matrix, ii, jj):
-        return _laesa_sweep_numba(
-            np.ascontiguousarray(matrix, dtype=np.float64),
-            np.ascontiguousarray(ii, dtype=np.int64),
-            np.ascontiguousarray(jj, dtype=np.int64),
-        )
-
-    _NUMBA_IMPL: Dict[str, object] | None = {
-        "tri_frontier": _tri_frontier_numba_wrap,
-        "sssp": _sssp_numba_wrap,
-        "splub_sweep": _splub_sweep_numba_wrap,
-        "laesa_sweep": _laesa_sweep_numba_wrap,
-    }
-else:
-    _NUMBA_IMPL = None
-
-HAVE_NUMBA = _NUMBA_IMPL is not None
-
-_active: Dict[str, object] = dict(_NUMBA_IMPL if HAVE_NUMBA else _NUMPY_IMPL)
-_active_name = "numba" if HAVE_NUMBA else "numpy"
-
-
-# -- backend control ---------------------------------------------------------
-
-
-def backend() -> str:
-    """The active backend name: ``"numba"`` or ``"numpy"``."""
-    return _active_name
-
-
-def jit_enabled() -> bool:
-    """True when kernels dispatch to the compiled backend."""
-    return _active_name == "numba"
-
-
-def disable_jit() -> None:
-    """Switch every kernel to the pure-NumPy fallback (the CLI ``--no-jit``)."""
-    global _active_name
-    _active.update(_NUMPY_IMPL)
-    _active_name = "numpy"
-
-
-def enable_jit() -> bool:
-    """Switch back to the compiled backend; returns False when unavailable.
-
-    Unavailable means numba was not importable at module import (including
-    when ``REPRO_NO_JIT`` vetoed it) — re-enabling requires a fresh process.
-    """
-    global _active_name
-    if not HAVE_NUMBA:
-        return False
-    _active.update(_NUMBA_IMPL)
-    _active_name = "numba"
-    return True
-
-
-def implementations(name: str) -> Dict[str, object]:
-    """Both raw implementations of kernel ``name`` keyed by backend name.
-
-    The parity tests call each backend directly on identical inputs and
-    assert byte-identical outputs; only ``"numpy"`` is present when numba
-    is unavailable.
-    """
-    impls: Dict[str, object] = {"numpy": _NUMPY_IMPL[name]}
-    if HAVE_NUMBA:
-        impls["numba"] = _NUMBA_IMPL[name]
-    return impls
-
-
-# -- public kernel entry points ---------------------------------------------
-
-
-def tri_frontier(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    n: int,
-    u: int,
-    others: np.ndarray,
-    cap: float,
-    relaxation: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Tri bounds for every pair ``(u, others[b])`` in one CSR sweep.
-
-    Returns ``(lowers, uppers, triangles_inspected)``; bounds are clamped
-    to ``[0, cap]`` exactly like the per-pair Tri kernels.
-    """
-    return _active["tri_frontier"](indptr, indices, weights, n, u, others, cap, relaxation)
-
-
-def sssp(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    n: int,
-    source: int,
-) -> np.ndarray:
-    """Dijkstra distances from ``source`` over a CSR adjacency."""
-    return _active["sssp"](indptr, indices, weights, n, source)
-
-
-def splub_sweep(
-    sp_i: np.ndarray,
-    sp_j: np.ndarray,
-    e_i: np.ndarray,
-    e_j: np.ndarray,
-    e_w: np.ndarray,
-) -> float:
-    """Best SPLUB lower-bound candidate over the known-edge columns."""
-    return _active["splub_sweep"](sp_i, sp_j, e_i, e_j, e_w)
-
-
-def laesa_sweep(
-    matrix: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw landmark-matrix bound reduction for a batch of column pairs."""
-    return _active["laesa_sweep"](matrix, ii, jj)

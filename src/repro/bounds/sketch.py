@@ -18,7 +18,7 @@ Rows come in two flavours:
   zero oracle cost.  Tree rows are upper bounds on the true landmark
   distances, so only the ``UB`` side is sound; ``LB`` stays trivial.
 
-Either way the sweep itself runs through the compiled
+Either way the sweep itself runs through the NumPy
 :func:`repro.bounds.kernels.laesa_sweep` kernel.  The provider is the
 natural companion of the resolver's ``stretch`` budget: tight sketch
 intervals let :class:`~repro.core.resolver.SmartResolver` answer
@@ -288,7 +288,7 @@ class SketchBoundProvider(BaseBoundProvider):
         return Bounds(lb, ub)
 
     def bounds_many(self, pairs: Iterable[Tuple[int, int]]) -> List[Bounds]:
-        """Batch query through the compiled landmark-sweep kernel."""
+        """Batch query through the landmark-sweep kernel."""
         pairs = list(pairs)
         if self._matrix is None or not self.landmarks:
             return [self.bounds(i, j) for i, j in pairs]

@@ -10,12 +10,14 @@ Produces the *tightest* bounds derivable from the known edges (Lemma 4.1):
 Each query needs Dijkstra trees from both endpoints (``O(m + n log n)``)
 and a sweep over the known edges.  This implementation is *incremental*:
 
-* Dijkstra trees are memoised per source, keyed on the graph's global
-  edge-insert epoch — equal epochs mean an identical graph, so a cached
-  tree is exact, and a batch of queries sharing an endpoint (``knearest(q,
-  ·)``) pays **one** Dijkstra from ``q`` instead of one per pair;
+* Dijkstra trees (:func:`repro.bounds.kernels.sssp` over the graph's CSR
+  view) are memoised per source, keyed on the graph's global edge-insert
+  epoch — equal epochs mean an identical graph, so a cached tree is exact,
+  and a batch of queries sharing an endpoint (``knearest(q, ·)``) pays
+  **one** Dijkstra from ``q`` instead of one per pair;
 * the edge sweep runs as a NumPy reduction over the graph's flat edge
-  mirror instead of a Python loop.
+  mirror (:func:`repro.bounds.kernels.splub_sweep`) instead of a Python
+  loop.
 
 Updates remain free: the shared graph's edge insert (which advances the
 epoch and thereby invalidates stale trees) is all the state there is.
@@ -85,9 +87,8 @@ class Splub(BaseBoundProvider):
     def shortest_paths(self, source: int) -> np.ndarray:
         """The Dijkstra tree from ``source``, memoised on the graph epoch.
 
-        Trees are computed by :func:`repro.bounds.kernels.sssp` over the
-        graph's CSR view — compiled when numba is active, a NumPy heap loop
-        otherwise; both produce arrays byte-identical to
+        Trees are computed by :func:`repro.bounds.kernels.sssp`, a heap
+        loop over the graph's CSR view whose arrays are byte-identical to
         :func:`dijkstra_distances` over the per-node mirrors.
         """
         graph = self.graph

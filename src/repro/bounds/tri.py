@@ -11,24 +11,27 @@ arrays — see ``PartialDistanceGraph``).  Expected query cost is ``O(m/n)``
 (Theorem 4.2); the update is the graph's ``O(log n)`` adjacency insert, so
 :meth:`notify_resolved` is a no-op here.
 
-Three interchangeable kernels compute the reduction:
+Two per-pair kernels and one frontier sweep compute the reduction:
 
-* :meth:`bounds_scalar` — the per-triangle Python loop (reference);
-* the *per-pair vectorised* kernel — a ``np.searchsorted`` intersection
-  over the graph's flat adjacency mirrors followed by array
+* :meth:`TriScheme._bounds_loop` — the per-triangle Python loop, the
+  reference and the fastest choice for low-degree endpoints;
+* :meth:`TriScheme._bounds_vector` — a ``np.searchsorted`` intersection
+  over the graph's per-node adjacency mirrors followed by array
   ``|diw − djw|`` / ``diw + djw`` reductions;
-* the *frontier* kernel — when a whole batch shares one endpoint ``u``
-  (``knearest(u, ·)`` / ``argmin(u, ·)`` frontiers always do), one dense
-  gather of ``u``'s row plus segmented ``np.maximum.reduceat`` /
-  ``np.minimum.reduceat`` reductions answer every pair in a handful of
-  array operations total.
+* the *frontier* sweep — when a batch of at least
+  ``_FRONTIER_MIN_PAIRS`` unknown pairs shares one endpoint ``u``
+  (``knearest(u, ·)`` / ``argmin(u, ·)`` frontiers do), one
+  :func:`repro.bounds.kernels.tri_frontier` call over the graph's CSR view
+  answers every pair.
 
 All kernels perform the identical IEEE-754 elementwise operations and
-order-independent min/max reductions, so they return identical ``Bounds``;
-:meth:`bounds` dispatches by endpoint degree (the array kernel only wins
-once the intersected lists are long enough to amortise NumPy call overhead)
-and :meth:`bounds_many` routes shared-endpoint batches through the frontier
-kernel.
+order-independent min/max reductions, so they return identical ``Bounds``
+and count identical ``triangles_inspected``.  :meth:`bounds` picks the
+per-pair kernel by endpoint degree (the array kernel only wins once the
+intersected lists are long enough to amortise NumPy call overhead), and
+:meth:`bounds_many` sends large shared-endpoint batches through the
+frontier sweep.  Small frontiers stay per-pair: they would otherwise
+rebuild the whole-graph CSR view after every resolved edge.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ import numpy as np
 from repro.bounds import kernels
 from repro.core.bounds import BaseBoundProvider, Bounds
 from repro.core.partial_graph import PartialDistanceGraph
+
+#: Minimum endpoint degree (of both endpoints) before a single-pair query
+#: switches from the scalar loop to the vectorised kernel.
+_VECTOR_MIN_DEGREE = 32
+
+#: Minimum number of unknown shared-endpoint pairs before a batch runs
+#: through the CSR frontier sweep instead of per-pair queries.
+_FRONTIER_MIN_PAIRS = 8
 
 
 class TriScheme(BaseBoundProvider):
@@ -60,19 +71,6 @@ class TriScheme(BaseBoundProvider):
     name = "Tri"
     vectorized_bounds = True
 
-    #: Minimum endpoint degree before single-pair queries switch from the
-    #: scalar loop to the NumPy kernel.  All kernels return identical
-    #: bounds; this only moves CPU time.  Set to ``math.inf`` to force the
-    #: scalar loop everywhere (the loop-vs-vectorised benchmarks do).
-    vector_threshold: float = 32
-
-    #: Minimum frontier size before the shared-endpoint sweep runs over the
-    #: graph's CSR view through :mod:`repro.bounds.kernels` instead of the
-    #: per-node mirror kernel.  Identical bounds either way; the CSR kernel
-    #: amortises one epoch-keyed CSR (re)build across the whole batch.  Set
-    #: to ``math.inf`` to pin the mirror kernel (benchmark baselines do).
-    frontier_csr_threshold: float = 8
-
     def __init__(
         self,
         graph: PartialDistanceGraph,
@@ -91,19 +89,17 @@ class TriScheme(BaseBoundProvider):
         known = self.graph.get(i, j)
         if known is not None:
             return Bounds(known, known)
-        if min(self.graph.degree(i), self.graph.degree(j)) >= self.vector_threshold:
+        if min(self.graph.degree(i), self.graph.degree(j)) >= _VECTOR_MIN_DEGREE:
             return self._bounds_vector(i, j)
         return self._bounds_loop(i, j)
 
     def bounds_many(self, pairs: Iterable[Tuple[int, int]]) -> List[Bounds]:
-        """Batch query, routed through the fastest applicable kernel.
+        """Batch query, element-for-element identical to per-pair queries.
 
-        A batch whose unknown pairs all share one endpoint (every
-        ``knearest``/``argmin`` frontier does) is answered by the segmented
-        frontier kernel in a handful of array operations; anything else
-        falls back to the same per-pair dispatch :meth:`bounds` uses.
-        Either way the result is element-for-element identical to per-pair
-        queries.
+        A batch of at least ``_FRONTIER_MIN_PAIRS`` unknown pairs that all
+        share one endpoint (a ``knearest``/``argmin`` frontier) runs as one
+        CSR frontier sweep; every other pair takes the same per-pair
+        dispatch :meth:`bounds` uses.
         """
         pairs = list(pairs)
         out: List[Optional[Bounds]] = [None] * len(pairs)
@@ -118,35 +114,24 @@ class TriScheme(BaseBoundProvider):
                 out[idx] = Bounds(known, known)
                 continue
             todo.append(idx)
-        if todo:
+        shared = None
+        if len(todo) >= _FRONTIER_MIN_PAIRS:
             shared = self._shared_endpoint([pairs[idx] for idx in todo])
-            # An infinite vector_threshold forces the scalar loop everywhere,
-            # including here — the ablation benchmarks rely on that.
-            if shared is not None and len(todo) >= 2 and math.isfinite(self.vector_threshold):
-                others = [
-                    pairs[idx][1] if pairs[idx][0] == shared else pairs[idx][0]
-                    for idx in todo
-                ]
-                for idx, b in zip(todo, self._bounds_frontier(shared, others)):
-                    out[idx] = b
-            else:
-                threshold = self.vector_threshold
-                for idx in todo:
-                    i, j = pairs[idx]
-                    if min(graph.degree(i), graph.degree(j)) >= threshold:
-                        out[idx] = self._bounds_vector(i, j)
-                    else:
-                        out[idx] = self._bounds_loop(i, j)
+        if shared is not None:
+            others = [
+                pairs[idx][1] if pairs[idx][0] == shared else pairs[idx][0]
+                for idx in todo
+            ]
+            for idx, b in zip(todo, self._bounds_frontier(shared, others)):
+                out[idx] = b
+        else:
+            for idx in todo:
+                i, j = pairs[idx]
+                if min(graph.degree(i), graph.degree(j)) >= _VECTOR_MIN_DEGREE:
+                    out[idx] = self._bounds_vector(i, j)
+                else:
+                    out[idx] = self._bounds_loop(i, j)
         return out
-
-    def bounds_scalar(self, i: int, j: int) -> Bounds:
-        """Reference per-triangle loop, bypassing the degree dispatch."""
-        if i == j:
-            return Bounds(0.0, 0.0)
-        known = self.graph.get(i, j)
-        if known is not None:
-            return Bounds(known, known)
-        return self._bounds_loop(i, j)
 
     @staticmethod
     def _shared_endpoint(pairs: Sequence[Tuple[int, int]]) -> Optional[int]:
@@ -237,91 +222,26 @@ class TriScheme(BaseBoundProvider):
         return Bounds(lb, ub)
 
     def _bounds_frontier(self, u: int, others: Sequence[int]) -> List[Bounds]:
-        """Bounds for every unknown pair ``(u, c)``, through the best kernel.
+        """Bounds for every unknown pair ``(u, c)`` in one CSR sweep.
 
-        Large frontiers run over the graph's CSR view via
-        :func:`repro.bounds.kernels.tri_frontier` (compiled when numba is
-        active, vectorised NumPy otherwise); small ones keep the per-node
-        mirror kernel, which avoids touching the whole-graph CSR mirror.
-        Both produce byte-identical bounds and triangle counts.
-        """
-        if len(others) >= self.frontier_csr_threshold:
-            graph = self.graph
-            indptr, indices, weights = graph.csr_arrays()
-            lbs, ubs, triangles = kernels.tri_frontier(
-                indptr,
-                indices,
-                weights,
-                graph.n,
-                u,
-                np.asarray(others, dtype=np.int64),
-                self.max_distance,
-                self.relaxation,
-            )
-            self.triangles_inspected += int(triangles)
-            # The kernel clamps to 0 <= lb <= ub <= cap, so validation can
-            # be skipped — constructing ~|others| frozen dataclasses through
-            # __init__ would otherwise dominate the sweep.
-            return Bounds.list_from_arrays(lbs, ubs)
-        return self._bounds_frontier_mirrors(u, others)
-
-    def _bounds_frontier_mirrors(self, u: int, others: Sequence[int]) -> List[Bounds]:
-        """The PR-2 frontier kernel over per-node mirrors (reference/baseline).
-
-        Scatters ``u``'s adjacency into a dense row (``inf`` elsewhere),
-        gathers it at every candidate neighbour in one shot, and reduces
-        per candidate with ``np.maximum.reduceat`` / ``np.minimum.reduceat``.
-        Non-triangles contribute ``-inf``/``+inf``, which never win the
-        order-independent reductions, so each pair's result is identical to
-        the per-pair kernels'.
+        Runs :func:`repro.bounds.kernels.tri_frontier` over the graph's CSR
+        view; the bounds and triangle count are byte-identical to the
+        per-pair kernels'.
         """
         graph = self.graph
-        ids_u, weights_u = graph.adjacency_arrays(u)
-        cap = self.max_distance
-        if ids_u.size == 0:
-            return [Bounds(0.0, cap)] * len(others)
-        dense = np.full(graph.n, math.inf)
-        dense[ids_u] = weights_u
-        id_chunks: List[np.ndarray] = []
-        weight_chunks: List[np.ndarray] = []
-        lengths: List[int] = []
-        slots: List[int] = []  # positions with a non-empty adjacency
-        out: List[Optional[Bounds]] = [None] * len(others)
-        for pos, other in enumerate(others):
-            ids_c, weights_c = graph.adjacency_arrays(other)
-            if ids_c.size == 0:
-                out[pos] = Bounds(0.0, cap)
-                continue
-            id_chunks.append(ids_c)
-            weight_chunks.append(weights_c)
-            lengths.append(ids_c.size)
-            slots.append(pos)
-        if not slots:
-            return out
-        ids_cat = np.concatenate(id_chunks)
-        wc = np.concatenate(weight_chunks)
-        du = dense[ids_cat]
-        valid = np.isfinite(du)
-        self.triangles_inspected += int(valid.sum())
-        c = self.relaxation
-        if c == 1.0:
-            lb_elem = np.where(valid, np.abs(du - wc), -math.inf)
-            ub_elem = np.where(valid, du + wc, math.inf)
-        else:
-            lb_elem = np.where(valid, np.maximum(du / c - wc, wc / c - du), -math.inf)
-            ub_elem = np.where(valid, du + wc, math.inf)
-        offsets = np.zeros(len(lengths), dtype=np.intp)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        lbs = np.maximum.reduceat(lb_elem, offsets)
-        ubs = np.minimum.reduceat(ub_elem, offsets)
-        for k, pos in enumerate(slots):
-            lb = float(lbs[k])
-            ub = float(ubs[k]) if c == 1.0 else c * float(ubs[k])
-            if lb < 0.0:
-                lb = 0.0
-            if ub > cap:
-                ub = cap
-            if lb > ub:
-                lb = ub
-            out[pos] = Bounds(lb, ub)
-        return out
+        indptr, indices, weights = graph.csr_arrays()
+        lbs, ubs, triangles = kernels.tri_frontier(
+            indptr,
+            indices,
+            weights,
+            graph.n,
+            u,
+            np.asarray(others, dtype=np.int64),
+            self.max_distance,
+            self.relaxation,
+        )
+        self.triangles_inspected += int(triangles)
+        # The kernel clamps to 0 <= lb <= ub <= cap, so validation can be
+        # skipped — constructing ~|others| frozen dataclasses through
+        # __init__ would otherwise dominate the sweep.
+        return Bounds.list_from_arrays(lbs, ubs)

@@ -651,9 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, algorithms=True):
         p.add_argument("--dataset", choices=sorted(DATASETS), default="sf")
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--no-jit", dest="no_jit", action="store_true",
-                       help="force the pure-NumPy kernel backend even when "
-                       "numba is installed (same as REPRO_NO_JIT=1)")
         p.add_argument(
             "--providers", nargs="+", default=["none", "tri", "laesa", "tlaesa"],
             choices=list(PROVIDER_NAMES),
@@ -882,10 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_jit", False):
-        from repro.bounds import kernels
-
-        kernels.disable_jit()
     return args.func(args)
 
 

@@ -599,7 +599,7 @@ class PartialDistanceGraph:
 
         ``indices[indptr[u]:indptr[u + 1]]`` are the sorted known
         neighbours of ``u`` with matching ``weights`` — the layout the
-        compiled kernels in :mod:`repro.bounds.kernels` consume.  Served
+        CSR kernels in :mod:`repro.bounds.kernels` consume.  Served
         straight from a bound-and-current :class:`~repro.core.csr_store.
         CSRStore` (:meth:`~repro.core.csr_store.CSRStore.csr`); otherwise a
         local mirror keyed on :attr:`epoch` is rebuilt vectorised from the

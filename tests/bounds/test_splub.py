@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.bounds import kernels
 from repro.bounds.splub import Splub, dijkstra_distances
 from repro.core.partial_graph import PartialDistanceGraph
 
@@ -23,7 +25,6 @@ class TestDijkstra:
         assert math.isinf(dist[3])
 
     def test_matches_scipy(self, partially_resolved):
-        import numpy as np
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
@@ -36,6 +37,21 @@ class TestDijkstra:
         ref = scipy_dijkstra(csr_matrix(dense), directed=False, indices=0)
         ours = dijkstra_distances(g, 0)
         assert np.allclose(ours, ref)
+
+    def test_csr_kernel_matches_reference_bitwise(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            g = PartialDistanceGraph(n)
+            for _ in range(int(rng.integers(0, 3 * n))):
+                i, j = (int(v) for v in rng.integers(0, n, 2))
+                if i != j and g.get(i, j) is None:
+                    g.add_edge(i, j, float(rng.uniform(0.1, 1.0)))
+            indptr, indices, weights = g.csr_arrays()
+            for s in range(n):
+                assert np.array_equal(
+                    kernels.sssp(indptr, indices, weights, n, s), dijkstra_distances(g, s)
+                )
 
 
 class TestRunningExample:

@@ -1,10 +1,10 @@
 """Scalar-vs-vector Tri kernel equivalence and relaxed-bound correctness."""
 
 import itertools
-import math
 
 import pytest
 
+from repro.bounds import kernels
 from repro.bounds.tri import TriScheme
 from repro.core.resolver import SmartResolver
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
@@ -47,15 +47,6 @@ class TestKernelEquivalence:
             assert loop.lower == vec.lower  # bit-identical, not approx
             assert loop.upper == vec.upper
 
-    def test_dispatch_threshold_does_not_change_results(self, warmed):
-        tri, graph = warmed
-        always_vector = TriScheme(graph, tri.max_distance)
-        always_vector.vector_threshold = 0
-        always_scalar = TriScheme(graph, tri.max_distance)
-        always_scalar.vector_threshold = math.inf
-        for i, j in itertools.combinations(range(18), 2):
-            assert always_vector.bounds(i, j) == always_scalar.bounds(i, j)
-
     def test_bounds_many_equals_per_pair(self, warmed):
         tri, _ = warmed
         pairs = list(itertools.combinations(range(18), 2))
@@ -71,20 +62,52 @@ class TestKernelEquivalence:
             if graph.get(i, j) is None
         ]
         loop_counter = TriScheme(graph, tri.max_distance)
-        loop_counter.vector_threshold = math.inf
         vec_counter = TriScheme(graph, tri.max_distance)
-        vec_counter.vector_threshold = 0
         for i, j in pairs:
-            loop_counter.bounds(i, j)
-            vec_counter.bounds(i, j)
+            loop_counter._bounds_loop(i, j)
+            vec_counter._bounds_vector(i, j)
         assert loop_counter.triangles_inspected == vec_counter.triangles_inspected
         assert loop_counter.triangles_inspected > 0
 
-    def test_bounds_scalar_bypasses_dispatch(self, warmed):
-        tri, graph = warmed
-        tri.vector_threshold = 0  # bounds() would take the vector kernel
-        for i, j in itertools.combinations(range(6), 2):
-            assert tri.bounds_scalar(i, j) == tri.bounds(i, j)
+
+class TestFrontierSweep:
+    @pytest.mark.parametrize("relaxation", [1.0, 2.0])
+    def test_both_sweep_orders_equal_per_pair(self, rng, monkeypatch, relaxation):
+        """Every ``u``'s unknown pairs as one batch, against per-pair bounds.
+
+        Per-node resolve rates spread the degrees, so some frontiers take
+        the candidate-major order and some the neighbour-major one.
+        """
+        n = 40
+        matrix = random_metric_matrix(n, rng)
+        resolver = SmartResolver(MatrixSpace(matrix).oracle())
+        rate = rng.uniform(0.1, 1.0, size=n)
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < rate[i] * rate[j]:
+                resolver.distance(i, j)
+        graph = resolver.graph
+        tri = TriScheme(graph, float(matrix.max()), relaxation=relaxation)
+        orders = {"frontier": 0, "neighbour": 0}
+        sweep, neighbour_sweep = kernels.tri_frontier, kernels._tri_frontier_nbr
+
+        def counted(key, fn):
+            def wrapper(*args):
+                orders[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "tri_frontier", counted("frontier", sweep))
+        monkeypatch.setattr(
+            kernels, "_tri_frontier_nbr", counted("neighbour", neighbour_sweep)
+        )
+        for u in range(n):
+            frontier = [(u, c) for c in range(n) if c != u and graph.get(u, c) is None]
+            before = tri.triangles_inspected
+            batch = tri.bounds_many(frontier)
+            swept = tri.triangles_inspected - before
+            assert batch == [tri._bounds_loop(i, j) for i, j in frontier]
+            assert tri.triangles_inspected - before == 2 * swept
+        assert 0 < orders["neighbour"] < orders["frontier"]
 
 
 class TestRelaxedKernels:

@@ -39,6 +39,14 @@ def partial_metric_instances(draw, min_n=4, max_n=12):
     return matrix, pairs[:num_resolved], pairs
 
 
+def _assert_batch_matches_single(provider, batches):
+    for pairs in batches:
+        for (i, j), b in zip(pairs, provider.bounds_many(pairs)):
+            single = provider.bounds(i, j)
+            assert b.lower == single.lower, provider.name
+            assert b.upper == single.upper, provider.name
+
+
 def _provider_matrix(space, resolver, cls):
     provider = cls(resolver.graph, space.diameter_bound())
     if cls is Laesa:
@@ -47,29 +55,43 @@ def _provider_matrix(space, resolver, cls):
 
 
 class TestBatchEquivalence:
-    @given(partial_metric_instances())
+    @given(partial_metric_instances(max_n=20), st.sampled_from([1.0, 2.0]))
     @settings(**COMMON_SETTINGS)
-    def test_bounds_many_equals_bounds(self, instance):
+    def test_bounds_many_equals_bounds(self, instance, relaxation):
         matrix, resolved, all_pairs = instance
         space = MatrixSpace(matrix, validate=False)
         resolver = SmartResolver(space.oracle())
         for i, j in resolved:
             resolver.distance(i, j)
         cap = float(matrix.max()) or 1.0
-        providers = [
-            TriScheme(resolver.graph, cap),
-            Splub(resolver.graph, cap),
-        ]
-        laesa = Laesa(resolver.graph, cap)
-        laesa.bootstrap(resolver)
-        providers.append(laesa)
+        graph = resolver.graph
+        tri = TriScheme(graph, cap, relaxation=relaxation)
+        splub = Splub(graph, cap)
         queries = all_pairs + [(j, i) for i, j in all_pairs[:3]]
-        for provider in providers:
-            batch = provider.bounds_many(queries)
-            for (i, j), b in zip(queries, batch):
-                single = provider.bounds(i, j)
-                assert b.lower == single.lower, provider.name
-                assert b.upper == single.upper, provider.name
+        # Shared-endpoint frontiers — each u against all of its unknown
+        # pairs, in mixed orientation — reach Tri's CSR frontier sweep once
+        # they are large enough.  They are taken before LAESA's bootstrap
+        # resolves every landmark row.
+        n = matrix.shape[0]
+        frontiers = [
+            [(u, c) if c % 2 else (c, u) for c in range(n)
+             if c != u and graph.get(u, c) is None]
+            for u in range(n)
+        ]
+        frontiers = [f for f in frontiers if f]
+        for provider in (tri, splub):
+            _assert_batch_matches_single(provider, [queries, *frontiers])
+        for frontier in frontiers:
+            before = tri.triangles_inspected
+            tri.bounds_many(frontier)
+            swept = tri.triangles_inspected - before
+            for i, j in frontier:
+                tri.bounds(i, j)
+            assert tri.triangles_inspected - before == 2 * swept
+        laesa = Laesa(graph, cap)
+        laesa.bootstrap(resolver)
+        for provider in (tri, splub, laesa):
+            _assert_batch_matches_single(provider, [queries])
 
     @given(partial_metric_instances())
     @settings(**COMMON_SETTINGS)
