@@ -5,8 +5,11 @@ they occasionally fail or hang, and every answer is worth persisting.  This
 example wires a :class:`repro.exec.BatchOracle` under a
 :class:`SmartResolver` to build a kNN graph three ways:
 
-1. serial executor — the reference run;
-2. threaded executor — same calls, same output, a fraction of the latency;
+1. serial executor — one-candidate resolution waves, so exactly the calls
+   of the plain inline resolver;
+2. threaded executor — same output, a fraction of the latency; its
+   8-candidate waves may resolve a few pairs a finished wave would have
+   pruned, at most 10% more calls;
 3. threaded executor against a flaky oracle with a persistent SQLite cache
    — transient faults are retried invisibly and a second "session" replays
    from the cache for free.
@@ -28,6 +31,13 @@ K = 4
 COST = 0.2  # simulated seconds per oracle call
 
 
+def build_inline(space):
+    oracle = DistanceOracle(space.distance, space.n, cost_per_call=COST)
+    resolver = SmartResolver(oracle)
+    resolver.bounder = TriScheme(resolver.graph, space.diameter_bound())
+    return knn_graph(resolver, k=K), oracle
+
+
 def build(space, distance_fn, executor, cache=None):
     oracle = DistanceOracle(distance_fn, space.n, cost_per_call=COST)
     with BatchOracle(oracle, executor=executor, cache=cache) as batcher:
@@ -40,12 +50,15 @@ def build(space, distance_fn, executor, cache=None):
 
 def main() -> None:
     space = sf_poi_space(n=N, seed=5, road=False)
+    inline_graph, inline_oracle = build_inline(space)
 
-    # --- 1. serial reference ----------------------------------------------
+    # --- 1. serial executor: the inline resolver's calls, exactly ---------
     serial_graph, serial_oracle, _ = build(
         space, space.distance, make_executor("serial")
     )
-    print(f"serial:   {serial_oracle.calls:,} calls, "
+    assert serial_graph == inline_graph
+    assert serial_oracle.calls == inline_oracle.calls
+    print(f"serial:   {serial_oracle.calls:,} calls (= inline), "
           f"{serial_oracle.simulated_seconds:.1f}s simulated latency")
 
     # --- 2. threaded: identical output, overlapped latency ----------------
@@ -56,8 +69,8 @@ def main() -> None:
         threaded_graph.neighbor_ids(u) == serial_graph.neighbor_ids(u)
         for u in range(space.n)
     )
-    assert threaded_oracle.calls == serial_oracle.calls
-    print(f"threaded: {threaded_oracle.calls:,} calls (identical), "
+    assert threaded_oracle.calls <= 1.10 * serial_oracle.calls
+    print(f"threaded: {threaded_oracle.calls:,} calls, "
           f"{threaded_oracle.simulated_seconds:.1f}s simulated latency "
           f"({batcher.executor.stats.simulated_seconds_saved:.1f}s refunded "
           f"by overlapping)")

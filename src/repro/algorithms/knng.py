@@ -44,9 +44,8 @@ def knn_graph_brute(resolver: SmartResolver, k: int = 5) -> KnnGraphResult:
         raise ValueError(f"k must be in [1, {n - 1}]; got {k}")
     rows = []
     for u in range(n):
-        if resolver.batched:
-            # The scan below needs the whole row; fetch it as one batch.
-            resolver.resolve_many((u, v) for v in range(n) if v != u)
+        # The scan below needs the whole row; fetch it as one batch.
+        resolver.resolve_many((u, v) for v in range(n) if v != u)
         scored = sorted(
             (resolver.distance(u, v), v) for v in range(n) if v != u
         )

@@ -84,15 +84,6 @@ def swap_cost(
     nearest = assignment.nearest
     d1 = assignment.d1
     d2 = assignment.d2
-    if resolver.batched:
-        # The decision loop below resolves (o, h) exactly when the lower
-        # bound stays under the object's threshold (d2 when o belongs to m,
-        # d1 otherwise); fetch that frontier in one batch up front.
-        resolver.prefetch_thresholds(
-            ((o, h), d2[o] if nearest[o] == m else d1[o])
-            for o in range(n)
-            if o != h and o != m and o not in medoid_set
-        )
     delta = 0.0
     for o in range(n):
         if o == h or o == m:

@@ -26,10 +26,9 @@ from repro.core.resolver import SmartResolver
 def _build_init(resolver: SmartResolver, l: int) -> List[int]:
     """Greedy BUILD: first medoid minimises total distance, rest maximise gain."""
     n = resolver.oracle.n
-    if resolver.batched:
-        # BUILD's first step sums every pairwise distance anyway; fetch the
-        # full matrix as one batch instead of n² sequential round-trips.
-        resolver.resolve_many((c, o) for c in range(n) for o in range(c + 1, n))
+    # BUILD's first step sums every pairwise distance anyway; fetch the
+    # full matrix as one batch instead of n² sequential round-trips.
+    resolver.resolve_many((c, o) for c in range(n) for o in range(c + 1, n))
     totals = [sum(resolver.distance(c, o) for o in range(n)) for c in range(n)]
     medoids = [int(np.argmin(totals))]
     d_near = [resolver.distance(medoids[0], o) for o in range(n)]

@@ -57,12 +57,6 @@ def prim_mst(resolver: SmartResolver, root: int = 0) -> MstResult:
         if parent[u] >= 0:
             edges.append((parent[u], u, key[u]))
             total += key[u]
-        if resolver.batched:
-            # The scan below resolves (u, v) exactly when the lower bound
-            # stays under key[v]; fetch that frontier as one batch first.
-            resolver.prefetch_thresholds(
-                ((u, v), key[v]) for v in range(n) if not in_tree[v]
-            )
         for v in range(n):
             if in_tree[v]:
                 continue

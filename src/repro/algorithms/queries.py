@@ -59,23 +59,9 @@ def range_query(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     pool = candidates if candidates is not None else range(resolver.oracle.n)
-    hits: List[int] = []
-    for c in pool:
-        if c == query:
-            if include_query:
-                hits.append(c)
-            continue
-        bounds = resolver.bounds(query, c)
-        if bounds.lower > radius:
-            resolver.stats.decided_by_bounds += 1
-            continue
-        if bounds.upper <= radius:
-            resolver.stats.decided_by_bounds += 1
-            hits.append(c)
-            continue
-        resolver.stats.decided_by_oracle += 1
-        if resolver.distance(query, c) <= radius:
-            hits.append(c)
+    hits = resolver.within(query, pool, radius)
+    if include_query and query in pool:
+        hits.append(query)
     hits.sort()
     return hits
 

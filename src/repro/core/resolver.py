@@ -30,10 +30,22 @@ epochs** (:meth:`PartialDistanceGraph.node_epoch`):
 
 Both moves are invisible in outputs: every decision and every resolution
 happens exactly as it would without the memo; only CPU time moves.
-Frontier-shaped queries (``argmin``/``knearest`` candidate scans,
-``prefetch_thresholds``) are additionally routed through the provider's
-:meth:`~repro.core.bounds.BaseBoundProvider.bounds_many` batch API so
+Nearest-candidate scans (``argmin``/``knearest``) bound their whole
+frontier up front through the provider's
+:meth:`~repro.core.bounds.BaseBoundProvider.bounds_many` batch API, so
 vectorised schemes (Tri, LAESA) answer them with array kernels.
+
+Every distance the resolver buys goes through **one resolution routine**
+(:meth:`SmartResolver._resolve`): the stretch gate, then the oracle charge
+and the commit (graph insert, provider update, memo eviction) in sorted
+canonical-pair order.  Candidate scans (``argmin``/``knearest``/``within``)
+feed it **resolution waves**: up to ``wave_width`` candidates that pass the
+serial scan's pruning test are resolved together, then the serial update
+rule runs over them in scan order.  The width is the parallelism of
+whatever evaluates a wave (1 with no executor), and at width 1 a wave scan
+*is* the serial scan — same pairs, same order, same counters.  A host
+that owns the shared state (the service engine) configures the routine
+through hooks instead of overriding it.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import BoundProvider, Bounds, TrivialBounder
 from repro.core.oracle import ComparisonOracle, DistanceOracle, canonical_pair
@@ -55,6 +67,9 @@ Pair = Tuple[int, int]
 #: Memo entry: (interval, epoch of low endpoint, epoch of high endpoint).
 _MemoEntry = Tuple[Bounds, int, int]
 
+#: ``commit(pairs, fetch)`` — see ``SmartResolver(resolve_step=...)``.
+Commit = Callable[[Sequence[Pair], Callable[[Sequence[Pair]], Dict[Pair, float]]], int]
+
 
 @dataclass
 class ResolverStats:
@@ -66,7 +81,7 @@ class ResolverStats:
     pairs).  Each resolution is then classified by what it cost — a charged
     oracle call (``oracle_resolutions``), a free oracle-cache hit
     (``cached_resolutions``) — and additionally tallied in
-    ``batched_resolutions`` when it went through ``resolve_many``.
+    ``batched_resolutions`` when it went out through a batcher.
 
     The bound-engine counters attribute CPU rather than oracle calls:
     ``bound_time_s`` is the wall time spent inside provider bound kernels,
@@ -136,9 +151,10 @@ class SmartResolver:
         a ``bounder`` is supplied its graph is reused so both views agree.
     batcher:
         Optional :class:`repro.exec.BatchOracle` wrapping the same oracle.
-        When present, ``resolve_many`` (and the batched ``knearest`` /
-        ``argmin`` paths) dispatch whole frontiers through it instead of
-        resolving pair by pair; outputs stay identical to the serial path.
+        When present, every charge goes through it (so its retry, timeout
+        and persistent cache apply to every resolution), and candidate
+        scans resolve waves as wide as its executor's ``parallelism``;
+        outputs stay identical to the serial path.
     bound_cache:
         Keep the epoch-keyed per-pair bound memo (default).  ``False``
         recomputes every bound query from scratch — decisions, resolutions,
@@ -160,6 +176,31 @@ class SmartResolver:
         its realised ratio observed into the ``repro_answer_stretch``
         histogram (when instrumented); by construction the ratio never
         exceeds the budget.
+
+    Hooks (keyword-only, each ``None`` by default — the offline path then
+    pays one ``is None`` test and no call).  A host that shares the graph
+    between concurrent users configures them instead of subclassing:
+
+    memo:
+        The per-pair bound memo dict to use (default: a private one).
+        Epoch keys keep a memo shared between resolvers sound.
+    stretch_hist:
+        Histogram that observes realised stretch (default: the one
+        :meth:`instrument` declares, if any).
+    read_guard:
+        ``read_guard()`` runs before every bound read.
+    note_known:
+        ``note_known(pair)`` runs for each requested pair the graph
+        already holds.
+    before_charge:
+        ``before_charge(pairs)`` runs before the still-unknown pairs of a
+        resolution are charged; raising refuses them.
+    resolve_step:
+        ``resolve_step(pairs, commit)`` replaces the default charge: it
+        obtains the pairs' distances however it likes and must call
+        ``commit(pairs, fetch)`` exactly once, where ``fetch(pairs)``
+        returns ``{pair: distance}``; ``commit`` records each distance with
+        the oracle and commits it in order, and returns the fresh charges.
     """
 
     def __init__(
@@ -171,6 +212,13 @@ class SmartResolver:
         bound_cache: bool = True,
         registry: Optional[Any] = None,
         stretch: float = 1.0,
+        *,
+        memo: Optional[Dict[Pair, _MemoEntry]] = None,
+        stretch_hist: Optional[Any] = None,
+        read_guard: Optional[Callable[[], None]] = None,
+        note_known: Optional[Callable[[Pair], None]] = None,
+        before_charge: Optional[Callable[[List[Pair]], None]] = None,
+        resolve_step: Optional[Callable[[List[Pair], Commit], None]] = None,
     ) -> None:
         if graph is None:
             graph = getattr(bounder, "graph", None)
@@ -188,7 +236,15 @@ class SmartResolver:
         self._bounder: BoundProvider = bounder or TrivialBounder(graph)
         self.batcher = batcher
         self.bound_cache = bound_cache
-        self._bound_memo: Dict[Pair, _MemoEntry] = {}
+        self._bound_memo: Dict[Pair, _MemoEntry] = {} if memo is None else memo
+        #: Candidates one resolution wave may hold: the parallelism of
+        #: whatever evaluates a wave.  A host with its own ``resolve_step``
+        #: sets it to its executor's parallelism.
+        self.wave_width = batcher.executor.parallelism if batcher is not None else 1
+        self._read_guard = read_guard
+        self._note_known = note_known
+        self._before_charge = before_charge
+        self._resolve_step = resolve_step
         self.stats = ResolverStats()
         self.registry = None
         self._published_stats: Optional[ResolverStats] = None
@@ -199,7 +255,7 @@ class SmartResolver:
         self._approx_cache: Dict[Pair, float] = {}
         #: Largest realised ratio (estimate / lower bound) accepted so far.
         self.max_realized_stretch = 0.0
-        self._stretch_hist = None
+        self._stretch_hist = stretch_hist
         if registry is not None:
             self.instrument(registry)
 
@@ -273,11 +329,6 @@ class SmartResolver:
             dropped += len(stale)
         return dropped
 
-    @property
-    def batched(self) -> bool:
-        """True when frontiers are dispatched through a batch executor."""
-        return self.batcher is not None
-
     # -- raw access ---------------------------------------------------------
 
     def known(self, i: int, j: int) -> Optional[float]:
@@ -331,95 +382,94 @@ class SmartResolver:
             return 0.0
         cached = self.graph.get(i, j)
         if cached is not None:
+            if self._note_known is not None:
+                self._note_known(canonical_pair(i, j))
             return cached
-        if self.stretch > 1.0:
-            estimate = self._approx_estimate(i, j)
-            if estimate is not None:
-                return estimate
-        before = self.oracle.calls
-        value = self.oracle(i, j)
-        self.stats.resolutions += 1
-        if self.oracle.calls > before:
-            self.stats.oracle_resolutions += 1
-            self.stats.strong_calls += 1
-        else:
-            self.stats.cached_resolutions += 1
-        if self.graph.add_edge(i, j, value):
-            self._bound_memo.pop(canonical_pair(i, j), None)
-            self._bounder.notify_resolved(i, j, value)
-        return value
+        key = canonical_pair(i, j)
+        self._resolve((key,))
+        value = self.graph.get(i, j)
+        return self._approx_cache[key] if value is None else value
 
     def resolve_many(self, pairs: Iterable[Pair]) -> Dict[Pair, float]:
         """Resolve a set of pairs at once, returning ``{canonical_pair: d}``.
 
-        With a batcher configured, the genuinely unknown pairs go out as one
-        executor batch and come back committed in canonical-pair sorted
-        order (graph insert + bounder notification on the calling thread,
-        exactly as if resolved serially in that order).  Without one, this
-        degrades to per-pair :meth:`distance` calls over the same sorted
-        sequence — the two paths produce identical state.
+        The unknown pairs are charged and committed in canonical-pair sorted
+        order — with a batcher configured, as one executor batch.  Both
+        paths produce the state per-pair :meth:`distance` calls over the
+        same sorted sequence would.
         """
         keys = sorted({canonical_pair(i, j) for i, j in pairs if i != j})
-        unknown = [key for key in keys if self.graph.get(*key) is None]
-        if unknown and self.stretch > 1.0:
-            # Same gate as ``distance``: pairs whose interval certifies the
-            # budget are answered approximately and drop out of the batch.
-            unknown = [key for key in unknown if self._approx_estimate(*key) is None]
-        if unknown:
-            if self.batcher is None:
-                for key in unknown:
-                    self.distance(*key)
-            else:
-                before = self.oracle.calls
-                resolved = self.batcher.resolve_many(unknown)
-                fresh = self.oracle.calls - before
-                self.stats.resolutions += len(unknown)
-                self.stats.batched_resolutions += len(unknown)
-                self.stats.oracle_resolutions += fresh
-                self.stats.strong_calls += fresh
-                self.stats.cached_resolutions += len(unknown) - fresh
-                for key in unknown:  # sorted — deterministic commit order
-                    if self.graph.add_edge(*key, resolved[key]):
-                        self._bound_memo.pop(key, None)
-                        self._bounder.notify_resolved(*key, resolved[key])
-        if self._approx_cache:
-            # Exact values win over cached estimates — a pair may have been
-            # resolved exactly after its estimate was accepted.
-            approx = self._approx_cache
-            out: Dict[Pair, float] = {}
-            for key in keys:
-                exact = self.graph.get(*key)
-                out[key] = exact if exact is not None else approx[key]
-            return out
-        return {key: self.graph.get(*key) for key in keys}
+        self._resolve(keys)
+        graph = self.graph
+        # Exact values win over cached estimates — a pair may have been
+        # resolved exactly after its estimate was accepted.
+        approx = self._approx_cache
+        out: Dict[Pair, float] = {}
+        for key in keys:
+            exact = graph.get(*key)
+            out[key] = approx[key] if exact is None else exact
+        return out
 
-    def prefetch_thresholds(self, items: Iterable[Tuple[Pair, float]]) -> int:
-        """Batch-resolve every pair its threshold cannot rule out.
+    def _resolve(self, keys: Sequence[Pair]) -> None:
+        """The one resolution routine: buy every unknown pair of ``keys``.
 
-        ``items`` yields ``((i, j), threshold)`` — a pair is fetched when its
-        distance is unknown and its lower bound is below ``threshold``,
-        i.e. exactly the pairs a subsequent serial scan would resolve one by
-        one.  No-op (returns 0) unless :attr:`batched`, so algorithms call
-        this unconditionally before their decision loops.
+        ``keys`` are distinct canonical pairs in sorted order.  Pairs the
+        graph already holds are noted as known; with a stretch budget,
+        pairs whose interval certifies it are answered approximately and
+        drop out; the rest are charged and committed in order (through the
+        ``resolve_step`` hook when one is configured).
         """
-        if not self.batched:
-            return 0
-        candidates: List[Tuple[Pair, float]] = []
-        for (i, j), threshold in items:
-            if i == j or self.graph.get(i, j) is not None:
-                continue
-            candidates.append(((i, j), threshold))
-        if not candidates:
-            return 0
-        frontier_bounds = self.bounds_many([pair for pair, _ in candidates])
-        wanted = [
-            pair
-            for (pair, threshold), b in zip(candidates, frontier_bounds)
-            if b.lower < threshold
-        ]
-        if wanted:
-            self.resolve_many(wanted)
-        return len(wanted)
+        graph = self.graph
+        note_known = self._note_known
+        unknown: List[Pair] = []
+        for key in keys:
+            if graph.get(*key) is None:
+                unknown.append(key)
+            elif note_known is not None:
+                note_known(key)
+        if unknown and self.stretch > 1.0:
+            unknown = [key for key in unknown if self._approx_estimate(*key) is None]
+        if not unknown:
+            return
+        if self._before_charge is not None:
+            self._before_charge(unknown)
+        if self._resolve_step is not None:
+            self._resolve_step(unknown, self._commit)
+        elif self.batcher is not None:
+            self.stats.batched_resolutions += len(unknown)
+            self._commit(unknown, self.batcher.resolve_many)
+        else:
+            self._commit(unknown)
+
+    def _commit(
+        self,
+        keys: Sequence[Pair],
+        fetch: Optional[Callable[[Sequence[Pair]], Dict[Pair, float]]] = None,
+    ) -> int:
+        """Charge and commit ``keys`` in order; returns the fresh charges.
+
+        Per pair: the oracle charge (an inline ``oracle(i, j)`` call, or
+        recording the distance ``fetch`` obtained), the graph insert, the
+        provider update and the memo eviction — the serial scan's sequence.
+        """
+        oracle = self.oracle
+        graph = self.graph
+        bounder = self._bounder
+        memo = self._bound_memo
+        before = oracle.calls
+        values = None if fetch is None else fetch(keys)
+        for key in keys:
+            value = oracle(*key) if values is None else oracle.record(*key, values[key])
+            if graph.add_edge(*key, value):
+                bounder.notify_resolved(*key, value)
+                memo.pop(key, None)
+        fresh = oracle.calls - before
+        stats = self.stats
+        stats.resolutions += len(keys)
+        stats.oracle_resolutions += fresh
+        stats.strong_calls += fresh
+        stats.cached_resolutions += len(keys) - fresh
+        return fresh
 
     # -- bound queries ------------------------------------------------------
 
@@ -430,6 +480,8 @@ class SmartResolver:
         endpoint epochs are unchanged, i.e. when recomputation would return
         the identical interval.
         """
+        if self._read_guard is not None:
+            self._read_guard()
         self.stats.bound_queries += 1
         if i == j:
             return Bounds(0.0, 0.0)
@@ -456,6 +508,8 @@ class SmartResolver:
         go to the provider's ``bounds_many`` (one array-kernel dispatch for
         vectorised schemes) and land in the memo.
         """
+        if self._read_guard is not None:
+            self._read_guard()
         pairs = list(pairs)
         self.stats.bound_queries += len(pairs)
         out: List[Optional[Bounds]] = [None] * len(pairs)
@@ -533,6 +587,8 @@ class SmartResolver:
         bounds would give.  Callers must recompute before treating an
         inconclusive stale interval as final.
         """
+        if self._read_guard is not None:
+            self._read_guard()
         self.stats.bound_queries += 1
         if i == j:
             return Bounds(0.0, 0.0), True
@@ -743,9 +799,9 @@ class SmartResolver:
         ``>= upper_limit``.  The limit is *exclusive*: a candidate at exactly
         ``upper_limit`` is never returned.  Candidates whose lower bound
         already meets the current best are skipped without oracle calls.
+        The scan resolves in waves (see the module docstring); until there
+        is an incumbent, a wave is one candidate.
         """
-        if self.batched and candidates:
-            return self._argmin_batched(u, candidates, upper_limit)
         best_idx: Optional[int] = None
         best_dist = upper_limit
         # Probe candidates in ascending lower-bound order so tight candidates
@@ -754,57 +810,34 @@ class SmartResolver:
         # as resolutions land).
         initial = self.bounds_many([(u, c) for c in candidates])
         order = sorted(range(len(candidates)), key=lambda pos: initial[pos].lower)
-        for pos in order:
-            c = candidates[pos]
-            b = self.bounds(u, c)
-            if b.lower > best_dist:
-                self.stats.decided_by_bounds += 1
-                continue
-            if b.lower == best_dist and (best_idx is None or best_idx <= pos):
-                # Cannot strictly improve; cannot win a tie either (and with
-                # no incumbent, matching the exclusive limit never counts).
-                self.stats.decided_by_bounds += 1
-                continue
-            self.stats.decided_by_oracle += 1
-            d = self.distance(u, c)
-            if d < best_dist or (d == best_dist and best_idx is not None and pos < best_idx):
-                best_dist = d
-                best_idx = pos
-        if best_idx is None:
-            return None, math.inf
-        return candidates[best_idx], best_dist
-
-    def _argmin_batched(
-        self,
-        u: int,
-        candidates: Sequence[int],
-        upper_limit: float,
-    ) -> Tuple[Optional[int], float]:
-        """Batched argmin: one frontier resolution, then the vanilla scan.
-
-        Resolves every candidate whose lower bound leaves it alive under the
-        exclusive ``upper_limit`` — a superset of what the adaptive serial
-        scan resolves — then applies the identical update rule, so the
-        result (value and tie-broken index) matches the serial path.
-        """
-        frontier: list[int] = []
-        frontier_bounds = self.bounds_many([(u, c) for c in candidates])
-        for pos, b in enumerate(frontier_bounds):
-            if b.lower >= upper_limit:
-                self.stats.decided_by_bounds += 1
-                continue
-            frontier.append(pos)
-        if not frontier:
-            return None, math.inf
-        self.resolve_many([(u, candidates[pos]) for pos in frontier])
-        self.stats.decided_by_oracle += len(frontier)
-        best_idx: Optional[int] = None
-        best_dist = upper_limit
-        for pos in frontier:  # ascending position — earliest index wins ties
-            d = self.distance(u, candidates[pos])
-            if d < best_dist:
-                best_dist = d
-                best_idx = pos
+        scan = iter(order)
+        while True:
+            wave: List[int] = []
+            # The best after this wave is at most any pending candidate's
+            # upper bound, so a lower bound above it prunes already.
+            bound = best_dist
+            for pos in scan:
+                b = self.bounds(u, candidates[pos])
+                if b.lower > bound or (
+                    # Cannot strictly improve; cannot win a tie either (and
+                    # with no incumbent, matching the exclusive limit never
+                    # counts).
+                    b.lower == best_dist and (best_idx is None or best_idx <= pos)
+                ):
+                    self.stats.decided_by_bounds += 1
+                    continue
+                self.stats.decided_by_oracle += 1
+                wave.append(pos)
+                if best_idx is None or len(wave) >= self.wave_width:
+                    break
+                bound = min(bound, b.upper)
+            if not wave:
+                break
+            distances = self._wave_distances(u, [candidates[pos] for pos in wave])
+            for pos, d in zip(wave, distances):
+                if d < best_dist or (d == best_dist and best_idx is not None and pos < best_idx):
+                    best_dist = d
+                    best_idx = pos
         if best_idx is None:
             return None, math.inf
         return candidates[best_idx], best_dist
@@ -820,6 +853,9 @@ class SmartResolver:
         Returns ``[(distance, candidate), ...]`` sorted ascending (ties by
         candidate id), identical to a vanilla full scan.  A candidate is
         resolved only when its lower bound beats the current ``k``-th best.
+        The scan resolves in waves (see the module docstring); while fewer
+        than ``k`` candidates are held, a wave takes at most the missing
+        number.
         """
         if k <= 0:
             return []
@@ -828,49 +864,74 @@ class SmartResolver:
         # the whole frontier is bounded in one batched sweep.
         initial = self.bounds_many([(u, c) for c in pool])
         order = sorted(range(len(pool)), key=lambda pos: initial[pos].lower)
-        pool = [pool[pos] for pos in order]
-        if self.batched and pool:
-            return self._knearest_batched(u, pool, k)
+        scan = iter([pool[pos] for pos in order])
         heap: list[Tuple[float, int]] = []
         kth = math.inf
-        for c in pool:
-            b = self.bounds(u, c)
-            if len(heap) >= k and b.lower > kth:
-                self.stats.decided_by_bounds += 1
-                continue
-            self.stats.decided_by_oracle += 1
-            d = self.distance(u, c)
-            heap.append((d, c))
-            if len(heap) >= k:
-                heap.sort()
-                del heap[k:]
-                kth = heap[-1][0]
+        while True:
+            room = self.wave_width if len(heap) >= k else min(self.wave_width, k - len(heap))
+            wave: List[int] = []
+            # The k-th best after this wave is at most the k-th smallest of
+            # the held distances and the pending candidates' upper bounds.
+            bound = kth
+            uppers: List[float] = []
+            for c in scan:
+                b = self.bounds(u, c)
+                if len(heap) >= k and b.lower > bound:
+                    self.stats.decided_by_bounds += 1
+                    continue
+                self.stats.decided_by_oracle += 1
+                wave.append(c)
+                if len(wave) >= room:
+                    break
+                if len(heap) >= k:
+                    uppers.append(b.upper)
+                    bound = sorted([d for d, _ in heap] + uppers)[k - 1]
+            if not wave:
+                break
+            for c, d in zip(wave, self._wave_distances(u, wave)):
+                heap.append((d, c))
+                if len(heap) >= k:
+                    heap.sort()
+                    del heap[k:]
+                    kth = heap[-1][0]
         heap.sort()
         return heap[:k]
 
-    def _knearest_batched(self, u: int, pool: list, k: int) -> list[Tuple[float, int]]:
-        """Batched kNN: two frontier resolutions instead of a serial scan.
+    def within(self, u: int, candidates: Iterable[int], radius: float) -> List[int]:
+        """The candidates ``c != u`` with ``dist(u, c) <= radius``, in scan order.
 
-        Round 1 fetches the ``k`` lowest-lower-bound candidates (the serial
-        scan resolves those unconditionally) to establish the pruning
-        threshold; round 2 fetches everything whose lower bound still beats
-        it.  The resolved set is a superset of the serial scan's, so the
-        selected neighbours are identical; under uninformative bounds the
-        two sets — and hence the oracle call counts — coincide exactly.
+        A candidate whose lower bound exceeds the radius is rejected, and one
+        whose upper bound fits is accepted, both without an oracle call; the
+        rest resolve in waves (see the module docstring).
         """
-        head = pool[:k]
-        self.resolve_many([(u, c) for c in head])
-        kth = sorted(self.distance(u, c) for c in head)[min(k, len(head)) - 1]
-        tail_bounds = self.bounds_many([(u, c) for c in pool[k:]])
-        frontier = [c for c, b in zip(pool[k:], tail_bounds) if b.lower <= kth]
-        if len(pool) > k:
-            self.stats.decided_by_bounds += len(pool) - k - len(frontier)
-        if frontier:
-            self.resolve_many([(u, c) for c in frontier])
-        self.stats.decided_by_oracle += len(head) + len(frontier)
-        result = [(self.distance(u, c), c) for c in head + frontier]
-        result.sort()
-        return result[:k]
+        hits: List[int] = []
+        scan = iter(candidates)
+        while True:
+            wave: List[int] = []
+            for c in scan:
+                if c == u:
+                    continue
+                b = self.bounds(u, c)
+                if b.lower > radius or b.upper <= radius:
+                    self.stats.decided_by_bounds += 1
+                    if b.upper <= radius:
+                        hits.append(c)
+                    continue
+                self.stats.decided_by_oracle += 1
+                wave.append(c)
+                if len(wave) >= self.wave_width:
+                    break
+            if not wave:
+                break
+            hits.extend(c for c, d in zip(wave, self._wave_distances(u, wave)) if d <= radius)
+        return hits
+
+    def _wave_distances(self, u: int, wave: List[int]) -> List[float]:
+        """Resolve one wave of candidates; their distances to ``u`` in wave order."""
+        if len(wave) == 1:
+            return [self.distance(u, wave[0])]
+        resolved = self.resolve_many([(u, c) for c in wave])
+        return [0.0 if c == u else resolved[canonical_pair(u, c)] for c in wave]
 
     # -- accounting -----------------------------------------------------------
 

@@ -161,8 +161,10 @@ class WeakBoundProvider(BaseBoundProvider):
     the answer is always at least as tight as knowing nothing.  With a
     ``batcher`` (a :class:`repro.exec.BatchOracle` wrapping the *weak*
     oracle), :meth:`bounds_many` prefetches a whole frontier's estimates as
-    one batch — the aggressive-batching path the resolver's frontier
-    queries (``argmin``/``knearest``/``prefetch_thresholds``) hit.
+    one batch — the path the up-front bound sweep of the resolver's
+    ``argmin``/``knearest`` scans hits.  Weak calls are cheap, so they are
+    batched per frontier; strong calls are batched only per resolution
+    wave.
 
     Counters: :attr:`weak_calls` mirrors the weak oracle's charged calls;
     :attr:`weak_band` counts queries whose interval was strictly tightened

@@ -3,14 +3,14 @@
 The paper's cost model treats every oracle call as a slow external request.
 The framework core (:mod:`repro.core`) minimises *how many* calls are made;
 this subsystem minimises *how long the remaining calls take* by resolving
-whole frontiers of inconclusive pairs concurrently, with per-call timeouts,
+each wave of inconclusive pairs concurrently, with per-call timeouts,
 bounded exponential-backoff retry, and a write-through persistent cache so
 repeated experiment runs never re-pay for a pair.
 
 Layering::
 
-    algorithms  ──►  SmartResolver.resolve_many / knearest / argmin
-                         │  (frontier of inconclusive pairs)
+    algorithms  ──►  SmartResolver (every resolution; argmin / knearest /
+                         │  within resolve waves of inconclusive pairs)
                          ▼
                      BatchOracle          deterministic sorted commit
                          │                into DistanceOracle + graph
@@ -34,7 +34,6 @@ from repro.exec.cache import (
 from repro.exec.executor import (
     BatchReport,
     ExecutorStats,
-    ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
     ThreadedExecutor,
@@ -47,7 +46,6 @@ __all__ = [
     "CacheBackend",
     "ExecutorStats",
     "MemoryCacheBackend",
-    "ProcessExecutor",
     "RetryPolicy",
     "SerialExecutor",
     "SqliteCacheBackend",

@@ -23,15 +23,8 @@ surface the condition.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -377,144 +370,16 @@ class ThreadedExecutor(BaseExecutor):
         return results, self._finish_batch(started, len(pairs), retries, timeouts)
 
 
-def _evaluate_chunk(
-    fn: DistanceFn, pairs: List[Pair]
-) -> Tuple[Dict[Pair, float], List[Tuple[Pair, str, bool]]]:
-    """Worker-side body of :class:`ProcessExecutor`: evaluate one chunk.
-
-    Module-level so it pickles by reference into spawn-started workers.
-    Failures come back as ``(pair, repr(exc), is_timeout)`` rather than
-    raising, so one bad pair never poisons its chunk-mates.
-    """
-    results: Dict[Pair, float] = {}
-    failures: List[Tuple[Pair, str, bool]] = []
-    for pair in pairs:
-        try:
-            results[pair] = fn(*pair)
-        except Exception as exc:
-            failures.append((pair, repr(exc), isinstance(exc, TimeoutError)))
-    return results, failures
-
-
-class ProcessExecutor(BaseExecutor):
-    """Resolve pairs on a ``ProcessPoolExecutor`` — true multi-core evaluation.
-
-    The escape hatch from the GIL for CPU-bound distance functions: a batch
-    is split into at most ``workers`` chunks, each shipped whole to a
-    spawn-started worker process (batch-granularity dispatch amortises the
-    pickle round-trip).  Both the distance function and the pair values
-    must pickle — build the function from a
-    :class:`repro.spaces.handles.SpaceHandle` (each worker rebuilds and
-    memoises the space on first use) rather than closing over live
-    objects.
-
-    Retry policy runs on the calling side: failed pairs from any chunk are
-    re-dispatched with backoff, and exhausting ``retry.max_attempts``
-    raises :class:`~repro.core.exceptions.OracleResolutionError`.  Like
-    :class:`SerialExecutor`, there is no hard preemption of a running
-    call; a distance function that raises ``TimeoutError`` (how
-    synchronous client libraries surface deadlines) is accounted as a
-    timeout and retried.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int = DEFAULT_WORKERS,
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        super().__init__(retry=retry, timeout=timeout)
-        self.workers = workers
-        self.parallelism = workers
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Spawn, not fork: the engine runs threads, and a forked child of
-            # a threaded parent inherits locks in undefined states.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._pool
-
-    def warm(self) -> None:
-        self._ensure_pool()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    @staticmethod
-    def _chunk(pairs: List[Pair], chunks: int) -> List[List[Pair]]:
-        size, extra = divmod(len(pairs), chunks)
-        out: List[List[Pair]] = []
-        start = 0
-        for k in range(chunks):
-            stop = start + size + (1 if k < extra else 0)
-            if stop > start:
-                out.append(pairs[start:stop])
-            start = stop
-        return out
-
-    def run(self, fn: DistanceFn, pairs: Iterable[Pair]) -> Tuple[Dict[Pair, float], BatchReport]:
-        pairs = list(pairs)
-        started = self._start_batch(pairs)
-        if not pairs:
-            return {}, self._finish_batch(started, 0, 0, 0)
-        pool = self._ensure_pool()
-        results: Dict[Pair, float] = {}
-        retries = timeouts = 0
-        outstanding: List[Tuple[Pair, int]] = [(pair, 1) for pair in pairs]
-        while outstanding:
-            todo = [pair for pair, _ in outstanding]
-            attempts = {pair: attempt for pair, attempt in outstanding}
-            chunks = self._chunk(todo, min(self.workers, len(todo)))
-            self.stats.max_in_flight = max(self.stats.max_in_flight, len(todo))
-            futures = [pool.submit(_evaluate_chunk, fn, chunk) for chunk in chunks]
-            outstanding = []
-            backoff = 0.0
-            for future in futures:
-                chunk_results, chunk_failures = future.result()
-                results.update(chunk_results)
-                for pair, message, is_timeout in chunk_failures:
-                    if is_timeout:
-                        timeouts += 1
-                        self.stats.timeouts += 1
-                    attempt = attempts[pair]
-                    if attempt >= self.retry.max_attempts:
-                        self.stats.failures += 1
-                        raise OracleResolutionError(pair, attempt) from RuntimeError(
-                            f"worker reported: {message}"
-                        )
-                    retries += 1
-                    self.stats.retries += 1
-                    backoff = max(backoff, self.retry.delay(attempt))
-                    outstanding.append((pair, attempt + 1))
-            if outstanding and backoff > 0:
-                time.sleep(backoff)
-        return results, self._finish_batch(started, len(pairs), retries, timeouts)
-
-
 def make_executor(
     name: str,
     workers: int = DEFAULT_WORKERS,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
 ) -> BaseExecutor:
-    """Build an executor by CLI name (``"serial"``, ``"threaded"``, ``"process"``)."""
+    """Build an executor by CLI name (``"serial"`` or ``"threaded"``)."""
     key = name.lower()
     if key == "serial":
         return SerialExecutor(retry=retry, timeout=timeout)
     if key == "threaded":
         return ThreadedExecutor(workers=workers, retry=retry, timeout=timeout)
-    if key == "process":
-        return ProcessExecutor(workers=workers, retry=retry, timeout=timeout)
-    raise ValueError(
-        f"unknown executor {name!r}; choose 'serial', 'threaded' or 'process'"
-    )
+    raise ValueError(f"unknown executor {name!r}; choose 'serial' or 'threaded'")

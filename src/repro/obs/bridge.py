@@ -70,7 +70,7 @@ RESOLVER_METRICS: Tuple[Tuple[str, str, Dict[str, str], str], ...] = (
         "batched_resolutions",
         "repro_resolver_batched_resolutions_total",
         {},
-        "Distances resolved through batched resolve_many dispatch.",
+        "Distances resolved through a BatchOracle batcher.",
     ),
     (
         "bound_time_s",

@@ -48,6 +48,7 @@ entered/left/reordered deltas that clients poll with a sequence cursor.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 import time
@@ -70,7 +71,7 @@ from repro.core.exceptions import (
     SnapshotMismatchError,
 )
 from repro.core.locking import ReadWriteLock
-from repro.core.oracle import ComparisonOracle, DistanceOracle, canonical_pair
+from repro.core.oracle import ComparisonOracle, DistanceOracle
 from repro.core.partial_graph import PartialDistanceGraph
 from repro.core.persistence import load_archive, save_graph
 from repro.core.resolver import ResolverStats, SmartResolver
@@ -122,7 +123,13 @@ _FULL_SCAN_KINDS = frozenset({"medoid", "knng", "mst"})
 
 
 class _JobRuntime:
-    """Mutable per-job execution state shared between worker and resolver."""
+    """Mutable per-job state, and the hooks its resolver runs.
+
+    The job holds the engine's shared lock once, for its whole run (see
+    :meth:`ProximityEngine._execute`).  :meth:`read_guard` steps aside for a
+    queued writer before every bound read; :meth:`note_known` and
+    :meth:`before_charge` do the job's accounting and control.
+    """
 
     __slots__ = (
         "job_id",
@@ -135,9 +142,10 @@ class _JobRuntime:
         "expired",
         "use_weak",
         "stretch",
+        "rw",
     )
 
-    def __init__(self, job: Job) -> None:
+    def __init__(self, job: Job, rw: ReadWriteLock) -> None:
         self.job_id = job.id
         self.budget = job.spec.oracle_budget
         self.use_weak = job.spec.use_weak
@@ -150,180 +158,28 @@ class _JobRuntime:
         self.cancel = job._cancel
         self.deadline_at = job.deadline_at
         self.expired = False
+        self.rw = rw
 
+    def read_guard(self) -> None:
+        self.rw.step_aside()
+        self.check_cancelled()
 
-class _JobResolver(SmartResolver):
-    """A per-job resolver enforcing the engine's reader/writer discipline.
+    def check_cancelled(self) -> None:
+        if self.cancel.is_set():
+            raise JobCancelledError(f"job {self.job_id} cancelled")
+        if time.monotonic() >= self.deadline_at:
+            self.expired = True
+            raise JobCancelledError(f"job {self.job_id} deadline expired")
 
-    Runs inside the shared hold its job takes once (see
-    :meth:`ProximityEngine._execute`): bound reads step aside for a queued
-    writer, and a resolution gives the hold up for its distance-function
-    evaluation and exclusive-lock commit.  The per-pair bound memo is
-    the *engine's* shared dict — epoch keys keep it sound across jobs, and
-    an entry one job computes is served to every other job for free.
-    """
+    def note_known(self, key: Pair) -> None:
+        if key not in self.touched:
+            self.touched.add(key)
+            self.warm_hits += 1
 
-    def __init__(self, engine: "ProximityEngine", runtime: _JobRuntime) -> None:
-        use_weak = engine._weak_bounder is not None and runtime.use_weak
-        super().__init__(
-            engine.oracle,
-            bounder=engine._weak_bounder if use_weak else engine.bounder,
-            graph=engine.graph,
-            stretch=runtime.stretch,
-        )
-        self._engine = engine
-        self._runtime = runtime
-        # Swap the private per-resolver memo for the engine-wide one.  Weak
-        # and base providers compute different intervals, so each provider
-        # path keeps its own shared memo — entries stay provider-consistent.
-        self._bound_memo = engine._shared_memo_weak if use_weak else engine._shared_memo
-        # Realised-stretch observations land in the engine-wide histogram.
-        self._stretch_hist = engine._m_answer_stretch
-
-    # -- job control ---------------------------------------------------------
-
-    def _check_cancelled(self) -> None:
-        rt = self._runtime
-        if rt.cancel.is_set():
-            raise JobCancelledError(f"job {rt.job_id} cancelled")
-        if time.monotonic() >= rt.deadline_at:
-            rt.expired = True
-            raise JobCancelledError(f"job {rt.job_id} deadline expired")
-
-    def _guard_budget(self, pending: List[Pair]) -> None:
-        rt = self._runtime
-        if rt.budget is not None and rt.charged + len(pending) > rt.budget:
-            raise JobBudgetExhaustedError(rt.budget, tuple(pending))
-
-    def _note_warm(self, key: Pair) -> None:
-        rt = self._runtime
-        if key not in rt.touched:
-            rt.touched.add(key)
-            rt.warm_hits += 1
-
-    # -- bound reads: a writer may commit before each -------------------------
-
-    def bounds(self, i: int, j: int):
-        self._engine._rw.step_aside()
-        return super().bounds(i, j)
-
-    def bounds_many(self, pairs):
-        self._check_cancelled()
-        self._engine._rw.step_aside()
-        return super().bounds_many(pairs)
-
-    def _bounds_for_decision(self, i: int, j: int):
-        self._engine._rw.step_aside()
-        return super()._bounds_for_decision(i, j)
-
-    # -- resolution: evaluate unlocked, commit exclusively ---------------------
-
-    def distance(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        engine = self._engine
-        cached = self.graph.get(i, j)
-        key = canonical_pair(i, j)
-        if cached is not None:
-            self._note_warm(key)
-            return cached
-        self._check_cancelled()
-        if self.stretch > 1.0:
-            # An accepted estimate never commits, so no write lock is needed.
-            estimate = self._approx_estimate(i, j)
-            if estimate is not None:
-                return estimate
-        with engine._oracle_lock:
-            value = self.oracle.peek(*key)
-        if value is None:
-            self._guard_budget([key])
-        with engine._rw.read_released():
-            if value is None:
-                # The expensive call: deliberately outside every lock so slow
-                # oracle requests from different jobs overlap.
-                value = float(self.oracle.distance_fn(*key))
-            return self._commit([(key, value)])[key]
-
-    def resolve_many(self, pairs: Iterable[Pair]) -> Dict[Pair, float]:
-        engine = self._engine
-        keys = sorted({canonical_pair(i, j) for i, j in pairs if i != j})
-        unknown = [key for key in keys if self.graph.get(*key) is None]
-        unknown_set = set(unknown)
-        for key in keys:
-            if key not in unknown_set:
-                self._note_warm(key)
-        if unknown and self.stretch > 1.0:
-            unknown = [key for key in unknown if self._approx_estimate(*key) is None]
-        if unknown:
-            self._check_cancelled()
-            values: Dict[Pair, float] = {}
-            misses: List[Pair] = []
-            with engine._oracle_lock:
-                for key in unknown:
-                    v = self.oracle.peek(*key)
-                    if v is None:
-                        misses.append(key)
-                    else:
-                        values[key] = v
-            if misses:
-                self._guard_budget(misses)
-            with engine._rw.read_released():
-                if misses:
-                    values.update(engine._evaluate(misses))
-                self._commit([(key, values[key]) for key in unknown])
-            if self.batched:
-                self.stats.batched_resolutions += len(unknown)
-        if self._approx_cache:
-            approx = self._approx_cache
-            out: Dict[Pair, float] = {}
-            for key in keys:
-                exact = self.graph.get(*key)
-                out[key] = exact if exact is not None else approx[key]
-            return out
-        return {key: self.graph.get(*key) for key in keys}
-
-    def _commit(self, items: List[Tuple[Pair, float]]) -> Dict[Pair, float]:
-        """Commit evaluated distances under the exclusive lock.
-
-        Items are processed in the given (sorted) order: oracle charge,
-        graph insert, provider update, shared-memo invalidation — exactly
-        the serial resolver's sequence, made atomic against readers.  The
-        caller has given its job's read hold up (an upgrade would deadlock).
-        """
-        engine = self._engine
-        rt = self._runtime
-        out: Dict[Pair, float] = {}
-        with engine._rw.write_locked():
-            with engine._oracle_lock:
-                for key, value in items:
-                    before = self.oracle.calls
-                    value = self.oracle.record(*key, value)
-                    self.stats.resolutions += 1
-                    if self.oracle.calls > before:
-                        self.stats.oracle_resolutions += 1
-                        self.stats.strong_calls += 1
-                        rt.charged += 1
-                        rt.touched.add(key)
-                    else:
-                        self.stats.cached_resolutions += 1
-                        self._note_warm(key)
-                    if self.graph.add_edge(*key, value):
-                        self._bound_memo.pop(key, None)
-                        self._bounder.notify_resolved(*key, value)
-                    out[key] = value
-        return out
-
-    # -- batch-path plumbing -------------------------------------------------
-
-    @property
-    def batched(self) -> bool:
-        """Frontier queries use the batch paths when the engine has an executor."""
-        return self._engine.executor is not None
-
-    def collect_stats(self) -> ResolverStats:
-        # Provider-level counters (dijkstra_runs) are engine-wide, not
-        # per-job; the engine syncs them once in snapshot_stats().
-        return self.stats
+    def before_charge(self, keys: List[Pair]) -> None:
+        self.check_cancelled()
+        if self.budget is not None and self.charged + len(keys) > self.budget:
+            raise JobBudgetExhaustedError(self.budget, tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -396,8 +252,9 @@ class ProximityEngine:
     executor:
         ``None`` (inline evaluation), an executor name (``"serial"`` /
         ``"threaded"``), or a ready :class:`~repro.exec.executor.BaseExecutor`.
-        When present, frontier resolutions go out as executor batches with
-        retry/timeout fault tolerance.
+        When present, distance evaluations go out as executor batches with
+        retry/timeout fault tolerance, and candidate scans resolve waves as
+        wide as its ``parallelism``.
     oracle_workers:
         Thread-pool size when ``executor="threaded"``.
     snapshot_path:
@@ -802,9 +659,56 @@ class ProximityEngine:
             return True
         return False
 
+    def _job_resolver(self, runtime: _JobRuntime) -> SmartResolver:
+        """A plain resolver configured with the engine's discipline.
+
+        Its bound memo is the engine's shared dict — epoch keys keep it
+        sound across jobs, and an entry one job computes is served to every
+        other job for free.  Weak and base providers compute different
+        intervals, so each provider path keeps its own shared memo.
+        """
+        use_weak = self._weak_bounder is not None and runtime.use_weak
+        resolver = SmartResolver(
+            self.oracle,
+            bounder=self._weak_bounder if use_weak else self.bounder,
+            graph=self.graph,
+            stretch=runtime.stretch,
+            memo=self._shared_memo_weak if use_weak else self._shared_memo,
+            stretch_hist=self._m_answer_stretch,
+            read_guard=runtime.read_guard,
+            note_known=runtime.note_known,
+            before_charge=runtime.before_charge,
+            resolve_step=functools.partial(self._resolve_step, runtime),
+        )
+        if self.executor is not None:
+            resolver.wave_width = self.executor.parallelism
+        return resolver
+
+    def _resolve_step(self, runtime: _JobRuntime, keys: List[Pair], commit) -> None:
+        """Evaluate ``keys`` unlocked, then commit them exclusively.
+
+        The job gives its shared hold up for the distance evaluation (slow
+        oracle calls from different jobs overlap) and for the commit, which
+        runs under the exclusive lock in the given sorted order — the serial
+        resolver's sequence, made atomic against readers.
+        """
+        with self._oracle_lock:
+            values = {key: self.oracle.peek(*key) for key in keys}
+        misses = [key for key, value in values.items() if value is None]
+        for key in keys:
+            if values[key] is not None:
+                runtime.note_known(key)
+        with self._rw.read_released():
+            if misses:
+                values.update(self._evaluate(misses))
+            with self._rw.write_locked(), self._oracle_lock:
+                runtime.charged += commit(keys, lambda _: values)
+        # Paid for by this job: a later read of them is not a warm hit.
+        runtime.touched.update(misses)
+
     def _execute(self, job: Job) -> None:
-        runtime = _JobRuntime(job)
-        resolver = _JobResolver(self, runtime)
+        runtime = _JobRuntime(job, self._rw)
+        resolver = self._job_resolver(runtime)
         spec = job.spec
         status = JobStatus.COMPLETED
         value: Any = None
@@ -821,7 +725,7 @@ class ProximityEngine:
                 stack.enter_context(self.tracer.span(spec.kind))
                 if isinstance(oracle_tracer, SpanTracer):
                     stack.enter_context(oracle_tracer.span(label))
-                # One shared hold for the whole job (see _JobResolver).
+                # One shared hold for the whole job (see _JobRuntime).
                 stack.enter_context(self._rw.read_locked())
                 value = self._run_kind(resolver, spec)
         except JobBudgetExhaustedError as exc:

@@ -1,12 +1,12 @@
-"""Picklable space handles for cross-process oracle evaluation.
+"""Picklable space handles for building one space in several processes.
 
 A :class:`~repro.spaces.base.MetricSpace` built in one process is often
 expensive (or impossible) to pickle wholesale — road networks hold graph
 adjacency, string spaces hold corpora.  A :class:`SpaceHandle` instead
 captures the *recipe*: a module-level factory plus its arguments, which
-pickle by reference in a few bytes.  Each worker process rebuilds the space
-on first use and memoises it, so a process-pool oracle tier pays
-construction once per worker, not once per batch.
+pickle by reference in a few bytes.  Each process (a shard, a benchmark's
+program process) rebuilds the space on first use and memoises it, so it
+pays construction once, not once per request.
 
 Determinism note: every factory in this codebase is seeded, so two
 processes building from the same handle hold *identical* spaces — the
@@ -60,8 +60,8 @@ class SpaceHandle:
     def distance(self, i: int, j: int) -> float:
         """Evaluate one distance against the memoised space.
 
-        This bound method is the picklable ``DistanceFn`` to hand a
-        :class:`~repro.exec.executor.ProcessExecutor`.
+        This bound method is a picklable ``DistanceFn``: it can be shipped
+        to another process and evaluated there.
         """
         return float(self.space().distance(i, j))
 

@@ -11,7 +11,15 @@ import threading
 
 import pytest
 
-from repro.algorithms import knn_graph, knn_graph_brute, pam, prim_mst
+from repro.algorithms import (
+    knn_graph,
+    knn_graph_brute,
+    kruskal_mst,
+    pam,
+    prim_mst,
+    prim_mst_comparisons,
+)
+from repro.core.exceptions import OracleResolutionError
 from repro.bounds.tri import TriScheme
 from repro.core.oracle import DistanceOracle
 from repro.core.resolver import SmartResolver
@@ -68,57 +76,55 @@ class FlakyDistance:
         return self.fn(i, j)
 
 
+def assert_identical(space, bounded, executor_cls, run):
+    """Assert ``run`` returns the inline resolver's output through a batcher.
+
+    A serial batcher resolves one-candidate waves — the serial scan itself —
+    so it pays exactly the inline calls.  A 4-worker batcher may resolve a
+    few candidates a finished wave would have pruned: at most 10% more.
+    Returns ``(batched calls, inline calls)``.
+    """
+    _, serial, _ = build_serial(space, bounded)
+    expected = run(serial)
+    oracle, batched, batcher = build_batched(space, bounded, executor_cls)
+    try:
+        assert run(batched) == expected
+    finally:
+        batcher.close()
+    if executor_cls is SerialExecutor:
+        assert oracle.calls == serial.oracle.calls
+    else:
+        assert oracle.calls <= 1.10 * serial.oracle.calls
+    return oracle.calls, serial.oracle.calls
+
+
 @pytest.mark.parametrize("bounded", [False, True], ids=["none", "tri"])
 @pytest.mark.parametrize("executor_cls", [SerialExecutor, ThreadedExecutor])
 class TestByteIdenticalOutputs:
     def test_knn_graph(self, space, bounded, executor_cls):
-        _, serial, _ = build_serial(space, bounded)
-        expected = knn_graph(serial, k=4)
-        o, batched, batcher = build_batched(space, bounded, executor_cls)
-        try:
-            assert knn_graph(batched, k=4) == expected
-        finally:
-            batcher.close()
+        calls, serial_calls = assert_identical(
+            space, bounded, executor_cls, lambda r: knn_graph(r, k=4)
+        )
         if not bounded:
-            # Uninformative bounds: the frontier equals the serial scan's
-            # resolution set, so even the call counts coincide.
-            assert o.calls == serial.oracle.calls
+            # Uninformative bounds prune no unknown pair, so waves of any
+            # width resolve the serial scan's set.
+            assert calls == serial_calls
 
     def test_pam(self, space, bounded, executor_cls):
-        _, serial, _ = build_serial(space, bounded)
-        expected = pam(serial, l=4, seed=3)
-        _, batched, batcher = build_batched(space, bounded, executor_cls)
-        try:
-            assert pam(batched, l=4, seed=3) == expected
-        finally:
-            batcher.close()
+        assert_identical(space, bounded, executor_cls, lambda r: pam(r, l=4, seed=3))
 
     def test_pam_build_init(self, space, bounded, executor_cls):
-        _, serial, _ = build_serial(space, bounded)
-        expected = pam(serial, l=3, init="build")
-        _, batched, batcher = build_batched(space, bounded, executor_cls)
-        try:
-            assert pam(batched, l=3, init="build") == expected
-        finally:
-            batcher.close()
+        assert_identical(
+            space, bounded, executor_cls, lambda r: pam(r, l=3, init="build")
+        )
 
     def test_prim_mst(self, space, bounded, executor_cls):
-        _, serial, _ = build_serial(space, bounded)
-        expected = prim_mst(serial)
-        _, batched, batcher = build_batched(space, bounded, executor_cls)
-        try:
-            assert prim_mst(batched) == expected
-        finally:
-            batcher.close()
+        assert_identical(space, bounded, executor_cls, prim_mst)
 
     def test_knn_graph_brute(self, space, bounded, executor_cls):
-        _, serial, _ = build_serial(space, bounded)
-        expected = knn_graph_brute(serial, k=4)
-        _, batched, batcher = build_batched(space, bounded, executor_cls)
-        try:
-            assert knn_graph_brute(batched, k=4) == expected
-        finally:
-            batcher.close()
+        assert_identical(
+            space, bounded, executor_cls, lambda r: knn_graph_brute(r, k=4)
+        )
 
 
 @pytest.mark.parametrize("executor_cls", [SerialExecutor, ThreadedExecutor])
@@ -167,6 +173,37 @@ class TestIdenticalUnderInjectedTimeouts:
             batcher.close()
         assert flaky.injected > 0
 
+    @pytest.mark.parametrize(
+        "algorithm", [kruskal_mst, prim_mst_comparisons], ids=["kruskal", "prim_cmp"]
+    )
+    def test_comparison_fallbacks_retry(self, space, executor_cls, algorithm):
+        """``less``/``compare`` fallbacks charge through the batcher too."""
+        _, serial, _ = build_serial(space, bounded=True)
+        expected = algorithm(serial)
+        flaky = FlakyDistance(space.distance)
+        oracle, batched, batcher = build_batched(
+            space, bounded=True, executor_cls=executor_cls, distance_fn=flaky
+        )
+        try:
+            assert algorithm(batched) == expected
+        finally:
+            batcher.close()
+        assert flaky.injected > 0
+        assert oracle.retries == flaky.injected
+
+    def test_exhausted_retries_surface_as_resolution_errors(self, space, executor_cls):
+        def down(i, j):
+            raise TimeoutError("oracle down")
+
+        _, batched, batcher = build_batched(
+            space, bounded=True, executor_cls=executor_cls, distance_fn=down
+        )
+        try:
+            with pytest.raises(OracleResolutionError):
+                kruskal_mst(batched)
+        finally:
+            batcher.close()
+
 
 class TestResolverBatchedEntryPoints:
     def test_resolve_many_matches_serial_state(self, space):
@@ -182,24 +219,6 @@ class TestResolverBatchedEntryPoints:
         assert sorted(batched.graph.edges()) == sorted(serial.graph.edges())
         assert serial.stats.batched_resolutions == 0
         assert batched.stats.batched_resolutions == len(batched_out)
-
-    def test_prefetch_thresholds_is_noop_without_batcher(self, space):
-        _, serial, _ = build_serial(space, bounded=True)
-        assert serial.prefetch_thresholds([((0, 1), 10.0)]) == 0
-        assert serial.oracle.calls == 0
-
-    def test_prefetch_thresholds_fetches_undecided_frontier(self, space):
-        oracle, batched, batcher = build_batched(space, bounded=False)
-        try:
-            fetched = batched.prefetch_thresholds(
-                [((0, 1), 10.0), ((0, 2), 0.0), ((3, 3), 5.0)]
-            )
-        finally:
-            batcher.close()
-        # (0, 2) is ruled out by threshold 0; the diagonal never resolves.
-        assert fetched == 1
-        assert oracle.calls == 1
-        assert batched.known(0, 1) is not None
 
     def test_batcher_must_share_oracle(self, space):
         o1 = space.oracle()

@@ -1,18 +1,11 @@
 """Tests for the retry/timeout executors."""
 
-import os
 import time
 
 import pytest
 
 from repro.core.exceptions import OracleResolutionError
-from repro.exec import (
-    ProcessExecutor,
-    RetryPolicy,
-    SerialExecutor,
-    ThreadedExecutor,
-    make_executor,
-)
+from repro.exec import RetryPolicy, SerialExecutor, ThreadedExecutor, make_executor
 
 
 def simple_distance(i, j):
@@ -178,65 +171,6 @@ class TestStats:
         executor.run(simple_distance, [(0, 1)])
         assert snapshot.submitted == 0
         assert executor.stats.submitted == 1
-
-
-def always_fail(i, j):
-    raise RuntimeError(f"permanent failure for {(i, j)}")
-
-
-class FailOnceOnDisk:
-    """Picklable flaky fn: cross-process attempt state lives in a marker file.
-
-    A worker process can't share ``FlakyFn``'s in-memory attempt counter, so
-    the first call (in whatever process) drops a marker and fails; every
-    later call, in any process, succeeds.
-    """
-
-    def __init__(self, marker):
-        self.marker = str(marker)
-
-    def __call__(self, i, j):
-        if not os.path.exists(self.marker):
-            open(self.marker, "w").close()
-            raise RuntimeError("transient failure (first attempt)")
-        return simple_distance(i, j)
-
-
-class TestProcessExecutor:
-    def test_resolves_all_pairs(self):
-        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        with ProcessExecutor(workers=2, retry=FAST_RETRY) as executor:
-            values, report = executor.run(simple_distance, pairs)
-        assert values == {p: simple_distance(*p) for p in pairs}
-        assert report.size == len(pairs)
-        assert executor.stats.resolved == len(pairs)
-
-    def test_retries_transient_failures(self, tmp_path):
-        fn = FailOnceOnDisk(tmp_path / "attempted")
-        with ProcessExecutor(workers=2, retry=FAST_RETRY) as executor:
-            values, report = executor.run(fn, [(0, 3)])
-        assert values == {(0, 3): 3.0}
-        assert report.retries >= 1
-
-    def test_raises_after_exhausting_attempts(self):
-        with ProcessExecutor(workers=2, retry=FAST_RETRY) as executor:
-            with pytest.raises(OracleResolutionError) as excinfo:
-                executor.run(always_fail, [(0, 1)])
-        assert excinfo.value.pair == (0, 1)
-        assert excinfo.value.attempts == FAST_RETRY.max_attempts
-        assert "permanent failure" in str(excinfo.value.__cause__)
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
-
-    def test_make_executor_builds_process(self):
-        executor = make_executor("process", workers=2, retry=FAST_RETRY)
-        try:
-            assert isinstance(executor, ProcessExecutor)
-            assert executor.name == "process"
-        finally:
-            executor.close()
 
 
 def test_make_executor_rejects_unknown_name():

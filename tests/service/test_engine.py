@@ -7,8 +7,9 @@ from repro.bounds import TriScheme
 from repro.core import SnapshotMismatchError
 from repro.core.exceptions import ConfigurationError
 from repro.core.resolver import SmartResolver
-from repro.service import JobSpec, JobStatus, ProximityEngine
+from repro.service import JobStatus, ProximityEngine
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
+from repro.spaces.vector import EuclideanSpace
 
 
 @pytest.fixture
@@ -274,3 +275,29 @@ class TestLandmarkBootstrap:
             assert stats.bootstrap_calls == eng.bootstrap_calls
         finally:
             eng.close(snapshot=False)
+
+
+class TestExecutorWaves:
+    """An oracle executor overlaps calls; it must not buy extra ones."""
+
+    @staticmethod
+    def _run(space, kind, executor):
+        engine = ProximityEngine.for_space(
+            space, provider="tri", job_workers=1, executor=executor, oracle_workers=4
+        )
+        try:
+            params = {"knn": {"k": 5}, "range": {"radius": 0.15}}.get(kind, {})
+            jobs = [engine.submit_job(kind, query=q, **params) for q in range(40)]
+            results = [job.result(60) for job in jobs]
+            assert all(result.ok for result in results)
+            return [result.value for result in results], engine.oracle.calls
+        finally:
+            engine.close(snapshot=False)
+
+    @pytest.mark.parametrize("kind", ["knn", "nearest", "range"])
+    def test_threaded_pays_at_most_ten_percent_more(self, rng, kind):
+        space = EuclideanSpace(rng.random((100, 2)))
+        answers, calls = self._run(space, kind, None)
+        threaded_answers, threaded_calls = self._run(space, kind, "threaded")
+        assert threaded_answers == answers
+        assert threaded_calls <= 1.10 * calls
