@@ -8,8 +8,8 @@ Two acceptance experiments for the CSR kernel layer
   a host algorithm run with or without the sweep must produce identical
   oracle-call counts and resolved-edge sequences;
 * the approximate resolver mode at ``stretch = 1.5`` must cut oracle calls
-  by at least **40%** on a kNN-graph build over a landmark sketch, with the
-  realised stretch of every accepted answer within budget (the
+  by at least **40%** on a kNN-graph build over LAESA landmark bounds, with
+  the realised stretch of every accepted answer within budget (the
   ``repro_answer_stretch`` histogram never exceeds it).
 
 Set ``KERNELS_BENCH_JSON`` to a path to dump the raw measurements for
@@ -128,11 +128,11 @@ def test_stretch_1_5_cuts_oracle_calls_40pct(report):
     space = sf_poi_space(n=STRETCH_N, road=False)
     registry = MetricsRegistry()
     exact = run_experiment(
-        space, "knng", "sketch", num_landmarks=STRETCH_LANDMARKS,
+        space, "knng", "laesa", num_landmarks=STRETCH_LANDMARKS,
         algorithm_kwargs={"k": 6}, stretch=1.0,
     )
     approx = run_experiment(
-        space, "knng", "sketch", num_landmarks=STRETCH_LANDMARKS,
+        space, "knng", "laesa", num_landmarks=STRETCH_LANDMARKS,
         algorithm_kwargs={"k": 6}, stretch=STRETCH, registry=registry,
     )
     savings = 100.0 * (1 - approx.algorithm_calls / exact.algorithm_calls)
@@ -159,7 +159,7 @@ def test_stretch_1_5_cuts_oracle_calls_40pct(report):
                 [STRETCH, approx.algorithm_calls, int(total), round(savings, 1)],
             ],
             title=f"kNN-graph (k=6) on sf n={STRETCH_N}, "
-            f"sketch L={STRETCH_LANDMARKS}",
+            f"LAESA L={STRETCH_LANDMARKS}",
         )
     )
     _RAW.update(

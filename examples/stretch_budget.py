@@ -8,8 +8,8 @@ may answer any distance with an estimate ``est`` satisfying
 the resolver only accepts when ``upper / lower <= stretch``, so the budget
 is a hard guarantee, not a heuristic.
 
-The certifying intervals come from a ``SketchBoundProvider`` — O(n·L)
-landmark distance sketches dense enough to close the gap on most pairs.
+The certifying intervals come from ``Laesa`` — an ``L × n`` matrix of exact
+landmark distances, dense enough here to close the gap on most pairs.
 Every accepted answer's realised stretch lands in the
 ``repro_answer_stretch`` histogram, so the guarantee is auditable live.
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     # --- exact baseline ---------------------------------------------------
     exact = run_experiment(
-        space, "knng", provider="sketch", num_landmarks=LANDMARKS,
+        space, "knng", provider="laesa", num_landmarks=LANDMARKS,
         algorithm_kwargs={"k": 6},
     )
     print(f"exact:        {exact.algorithm_calls:,} oracle calls")
@@ -38,7 +38,7 @@ def main() -> None:
     # --- same build under a 1.5x stretch budget ---------------------------
     registry = MetricsRegistry()
     approx = run_experiment(
-        space, "knng", provider="sketch", num_landmarks=LANDMARKS,
+        space, "knng", provider="laesa", num_landmarks=LANDMARKS,
         algorithm_kwargs={"k": 6}, stretch=STRETCH, registry=registry,
     )
     saved = 100.0 * (exact.algorithm_calls - approx.algorithm_calls)

@@ -15,7 +15,6 @@ from repro.bounds.landmarks import (
     select_landmarks_random,
 )
 from repro.bounds.laesa import Laesa
-from repro.bounds.sketch import SketchBoundProvider
 from repro.bounds.splub import Splub, dijkstra_distances
 from repro.bounds.tlaesa import Tlaesa
 from repro.bounds.tri import TriScheme
@@ -26,7 +25,6 @@ __all__ = [
     "Aesa",
     "DirectFeasibilityTest",
     "Laesa",
-    "SketchBoundProvider",
     "Splub",
     "Tlaesa",
     "TriScheme",

@@ -2,8 +2,8 @@
 
 The bound-maintenance loops that dominate CPU once the oracle is cheap or
 sharded — the Tri frontier sweep, the SPLUB Dijkstra relaxation and edge
-sweep, and the LAESA/sketch landmark-matrix sweep — live here as NumPy
-array code.  They perform the same IEEE-754 elementwise operations and
+sweep, and the LAESA landmark-matrix sweep — live here as NumPy array
+code.  They perform the same IEEE-754 elementwise operations and
 order-independent min/max reductions as the per-pair reference loops, so
 their results are byte-identical to them.
 

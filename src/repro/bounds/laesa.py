@@ -10,6 +10,11 @@ Queries are ``O(L)`` (vectorised); updates only matter when the resolved
 edge touches a landmark.  The bounds are fast but loose — the scheme only
 ever "sees" paths of length 2 through the fixed landmark set, whereas the
 Tri Scheme exploits *every* triangle accumulated so far.
+
+Because every matrix entry is an exact oracle distance, both bounds are
+valid, and LAESA is the provider that certifies the resolver's ``stretch``
+budget (Dinitz & Zhang, arXiv 1612.05623): a pair whose interval satisfies
+``ub <= stretch · lb`` is answered from the interval without an oracle call.
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ from repro.core.resolver import SmartResolver
 from repro.bounds.landmarks import (
     default_num_landmarks,
     resolve_landmark_matrix,
-    resolve_landmark_matrix_subset,
     select_landmarks_maxmin,
-    select_landmarks_maxmin_subset,
 )
 
 
@@ -58,10 +61,6 @@ class Laesa(BaseBoundProvider):
         self.drift_threshold = 0.5
         self._drift = 0
         self._bootstrap_count = 0
-        #: Mutation-maintenance tallies.
-        self.landmark_rows_dropped = 0
-        self.landmark_cols_refilled = 0
-        self.landmark_reselections = 0
 
     # -- construction -----------------------------------------------------
 
@@ -126,7 +125,6 @@ class Laesa(BaseBoundProvider):
             self._matrix = self._matrix[keep].copy() if keep else None
             self._landmark_row = {lm: row for row, lm in enumerate(self.landmarks)}
             counters["landmark_rows_dropped"] = len(dead_landmarks)
-            self.landmark_rows_dropped += len(dead_landmarks)
         self._drift += len(inserted) + len(removed)
         if self._matrix is not None:
             n = self.graph.n
@@ -138,11 +136,9 @@ class Laesa(BaseBoundProvider):
                     for row, lm in enumerate(self.landmarks):
                         self._matrix[row, obj] = resolver.distance(lm, obj)
                     counters["landmark_cols_refilled"] += 1
-                self.landmark_cols_refilled += len(inserted)
         if resolver is not None and self._needs_reselection():
             self._reselect(resolver)
             counters["landmark_reselections"] = 1
-            self.landmark_reselections += 1
         return counters
 
     def _needs_reselection(self) -> bool:
@@ -159,10 +155,8 @@ class Laesa(BaseBoundProvider):
         """Re-pick landmarks maxmin over the *live* ids and refill their rows."""
         alive = self.graph.alive_ids()
         count = min(self._bootstrap_count or default_num_landmarks(len(alive)), len(alive))
-        landmarks = select_landmarks_maxmin_subset(resolver, alive, max(1, count))
-        self._matrix = resolve_landmark_matrix_subset(
-            resolver, landmarks, alive, self.graph.n
-        )
+        landmarks = select_landmarks_maxmin(resolver, max(1, count), alive)
+        self._matrix = resolve_landmark_matrix(resolver, landmarks, alive)
         self.landmarks = landmarks
         self._landmark_row = {lm: row for row, lm in enumerate(landmarks)}
         self._bootstrap_count = len(landmarks)

@@ -28,89 +28,48 @@ def default_num_landmarks(n: int, multiplier: float = 1.0) -> int:
 def select_landmarks_maxmin(
     resolver: SmartResolver,
     num_landmarks: int,
-    first: int = 0,
+    candidates: Sequence[int] | None = None,
 ) -> List[int]:
     """Farthest-first (max-min) landmark selection, the standard LAESA pick.
 
-    Resolves ``(num_landmarks − 1) × n`` distances through the resolver while
-    selecting: each new landmark is the object maximising the distance to its
-    nearest already-chosen landmark.
+    Resolves ``(num_landmarks − 1) × len(candidates)`` distances through the
+    resolver while selecting: the first candidate is the first landmark, and
+    each new landmark is the candidate maximising the distance to its
+    nearest already-chosen landmark (ties go to the earliest candidate).
+    ``candidates`` defaults to every id; a dynamic set passes its live ids,
+    so tombstoned slots are never probed.
     """
-    n = resolver.oracle.n
-    if not 1 <= num_landmarks <= n:
-        raise ValueError(f"num_landmarks must be in [1, {n}]; got {num_landmarks}")
-    landmarks = [first]
-    nearest = np.full(n, math.inf)
-    while len(landmarks) < num_landmarks:
-        newest = landmarks[-1]
-        for obj in range(n):
+    ids = range(resolver.oracle.n) if candidates is None else list(candidates)
+    if not 1 <= num_landmarks <= len(ids):
+        raise ValueError(f"num_landmarks must be in [1, {len(ids)}]; got {num_landmarks}")
+    chosen = [0]
+    nearest = np.full(len(ids), math.inf)
+    while len(chosen) < num_landmarks:
+        newest = ids[chosen[-1]]
+        for pos, obj in enumerate(ids):
             d = resolver.distance(newest, obj)
-            if d < nearest[obj]:
-                nearest[obj] = d
-        nearest[landmarks] = -math.inf
-        candidate = int(np.argmax(nearest))
-        landmarks.append(candidate)
-    return landmarks
-
-
-def select_landmarks_maxmin_subset(
-    resolver: SmartResolver,
-    candidates: Sequence[int],
-    num_landmarks: int,
-) -> List[int]:
-    """Max-min landmark selection restricted to ``candidates``.
-
-    The dynamic-set variant of :func:`select_landmarks_maxmin`: under
-    tombstoning only the *live* ids may be probed, so the farthest-first
-    sweep runs over an explicit candidate list instead of ``range(n)``.
-    """
-    candidates = list(candidates)
-    if not 1 <= num_landmarks <= len(candidates):
-        raise ValueError(
-            f"num_landmarks must be in [1, {len(candidates)}]; got {num_landmarks}"
-        )
-    landmarks = [candidates[0]]
-    nearest = {obj: math.inf for obj in candidates}
-    while len(landmarks) < num_landmarks:
-        newest = landmarks[-1]
-        for obj in candidates:
-            d = resolver.distance(newest, obj)
-            if d < nearest[obj]:
-                nearest[obj] = d
-        for lm in landmarks:
-            nearest[lm] = -math.inf
-        landmarks.append(max(candidates, key=lambda o: nearest[o]))
-    return landmarks
-
-
-def resolve_landmark_matrix_subset(
-    resolver: SmartResolver,
-    landmarks: Sequence[int],
-    objects: Sequence[int],
-    n: int,
-) -> np.ndarray:
-    """Resolve an ``L × n`` matrix over only the listed live ``objects``.
-
-    Cells of ids absent from ``objects`` (tombstoned slots) are left at
-    zero; they are never read, because dead ids never enter a candidate
-    set.
-    """
-    matrix = np.zeros((len(landmarks), n))
-    for row, landmark in enumerate(landmarks):
-        for obj in objects:
-            matrix[row, obj] = resolver.distance(landmark, obj)
-    return matrix
+            if d < nearest[pos]:
+                nearest[pos] = d
+        nearest[chosen] = -math.inf
+        chosen.append(int(np.argmax(nearest)))
+    return [ids[pos] for pos in chosen]
 
 
 def resolve_landmark_matrix(
     resolver: SmartResolver,
     landmarks: Sequence[int],
+    objects: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Resolve and return the ``L × n`` landmark-to-object distance matrix."""
-    n = resolver.oracle.n
-    matrix = np.empty((len(landmarks), n))
+    """Resolve and return the ``L × n`` landmark-to-object distance matrix.
+
+    ``objects`` defaults to every id.  A dynamic set passes its live ids;
+    the cells of tombstoned slots stay zero and are never read, because
+    dead ids never enter a candidate set.
+    """
+    n = resolver.graph.n
+    matrix = np.zeros((len(landmarks), n))
     for row, landmark in enumerate(landmarks):
-        for obj in range(n):
+        for obj in range(n) if objects is None else objects:
             matrix[row, obj] = resolver.distance(landmark, obj)
     return matrix
 
@@ -157,7 +116,6 @@ def select_landmarks_random(
 def select_landmarks_maxsum(
     resolver: SmartResolver,
     num_landmarks: int,
-    first: int = 0,
 ) -> List[int]:
     """Max-sum selection: each landmark maximises total distance to the rest.
 
@@ -167,7 +125,7 @@ def select_landmarks_maxsum(
     n = resolver.oracle.n
     if not 1 <= num_landmarks <= n:
         raise ValueError(f"num_landmarks must be in [1, {n}]; got {num_landmarks}")
-    landmarks = [first]
+    landmarks = [0]
     total = np.zeros(n)
     while len(landmarks) < num_landmarks:
         newest = landmarks[-1]

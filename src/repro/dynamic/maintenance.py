@@ -1,7 +1,7 @@
 """Bound-provider invalidation dispatch for mutation batches.
 
-Each mutable provider patches its own state (``apply_mutations`` on SPLUB,
-LAESA and the sketch); stateless schemes (Tri, the trivial bounder) read
+Each mutable provider patches its own state (``apply_mutations`` on SPLUB
+and LAESA); stateless schemes (Tri, the trivial bounder) read
 everything from the shared graph and need no maintenance at all.  Providers
 holding per-pair state that cannot be patched soundly (AESA's full matrix,
 ADM's anchor structures, DFT, TLAESA's tree) are rejected up front — a
@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional
 from repro.core.exceptions import ConfigurationError
 
 #: ``make_provider`` names whose schemes survive mutation batches soundly.
-MUTABLE_PROVIDERS = frozenset({"none", "tri", "splub", "laesa", "sketch"})
+MUTABLE_PROVIDERS = frozenset({"none", "tri", "splub", "laesa"})
 
 #: Provider ``name`` attributes that are stateless beyond the shared graph.
 _STATELESS_NAMES = frozenset({"none", "tri"})

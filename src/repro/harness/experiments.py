@@ -66,7 +66,7 @@ def bounds_quality_experiment(
 
     # Ground state: the landmark bootstrap plus random algorithm-style
     # resolutions — the graph a bootstrapped proximity-algorithm run holds.
-    from repro.bounds.landmarks import select_landmarks_maxmin, resolve_landmark_matrix
+    from repro.bounds.landmarks import resolve_landmark_matrix, select_landmarks_maxmin
 
     rng = np.random.default_rng(seed)
     base_oracle = space.oracle()

@@ -11,7 +11,6 @@ from repro.bounds import (
     Aesa,
     DirectFeasibilityTest,
     Laesa,
-    SketchBoundProvider,
     Splub,
     Tlaesa,
     TriScheme,
@@ -31,11 +30,10 @@ PROVIDER_NAMES = (
     "tlaesa",
     "aesa",
     "dft",
-    "sketch",
 )
 
 #: Providers whose bootstrap step spends oracle calls up front.
-LANDMARK_PROVIDERS = ("laesa", "tlaesa", "aesa", "sketch")
+LANDMARK_PROVIDERS = ("laesa", "tlaesa", "aesa")
 
 
 def make_provider(
@@ -69,8 +67,6 @@ def make_provider(
         return Aesa(graph, max_distance)
     if name == "dft":
         return DirectFeasibilityTest(graph, max_distance=min(max_distance, 1e9))
-    if name == "sketch":
-        return SketchBoundProvider(graph, max_distance, num_landmarks)
     raise ValueError(f"unknown provider {name!r}; choose from {PROVIDER_NAMES}")
 
 

@@ -476,20 +476,11 @@ class ShardedEngine:
 
     # -- shard RPC -----------------------------------------------------------
 
-    def _call(
-        self, shard: _Shard, message: Dict[str, Any], publish: bool = False
-    ) -> Dict[str, Any]:
-        """One request/response round-trip on a shard's pipe (serialised).
-
-        ``publish`` stamps the store's edge count on the message as
-        ``store_edges`` under the shard's lock, so the prefix each shard
-        is told to merge only grows; a stale store publishes nothing.
-        """
+    def _call(self, shard: _Shard, message: Dict[str, Any]) -> Dict[str, Any]:
+        """One request/response round-trip on a shard's pipe (serialised)."""
         with shard.lock:
             if not shard.process.is_alive():
                 raise ConnectionError(f"shard {shard.index} process is dead")
-            if publish and not self._store_stale:
-                message["store_edges"] = self.store.num_edges
             shard.conn.send(message)
             reply = shard.conn.recv()
         if not reply.get("ok", False):
@@ -559,15 +550,29 @@ class ShardedEngine:
             shard = self._next_owner()
         self._m_jobs.labels(mode="global").inc()
         self._m_shard_jobs.labels(shard=str(shard.index)).inc()
-        return self._submit(shard, spec, timeout)
+        return self._submit(shard, spec, timeout, self._store_prefix())
+
+    def _store_prefix(self) -> Optional[int]:
+        """The store's edge count to stamp on a submit; nothing once stale."""
+        return None if self._store_stale else self.store.num_edges
 
     def _submit(
-        self, shard: _Shard, spec: JobSpec, timeout: Optional[float]
+        self,
+        shard: _Shard,
+        spec: JobSpec,
+        timeout: Optional[float],
+        store_edges: Optional[int],
     ) -> JobResult:
-        """Run one job on a shard and store the edges it charged."""
-        reply = self._call(
-            shard, {"op": "submit", "spec": spec, "timeout": timeout}, publish=True
-        )
+        """Run one job on a shard and store the edges it charged.
+
+        ``store_edges`` is the store prefix the shard merges before the
+        job.  A stamp at or below the shard's merged prefix is ignored, so
+        the prefix a shard has merged only grows.
+        """
+        message = {"op": "submit", "spec": spec, "timeout": timeout}
+        if store_edges is not None:
+            message["store_edges"] = store_edges
+        reply = self._call(shard, message)
         self._store_rows(shard, reply)
         return reply["result"]
 
@@ -611,10 +616,16 @@ class ShardedEngine:
             raise ValueError("no candidates for query after partitioning")
         self._m_jobs.labels(mode="scatter").inc()
         started = time.perf_counter()
+        # One stamp for every part, read before any part is submitted: a
+        # part that finishes first appends its rows to the store, and a
+        # peer stamped after that would merge them before its own job.
+        store_edges = self._store_prefix()
         futures = []
         for shard, shard_spec in parts:
             self._m_shard_jobs.labels(shard=str(shard.index)).inc()
-            futures.append(self._pool.submit(self._submit, shard, shard_spec, timeout))
+            futures.append(
+                self._pool.submit(self._submit, shard, shard_spec, timeout, store_edges)
+            )
         results: List[JobResult] = [future.result() for future in futures]
         return self._merge_results(spec, results, time.perf_counter() - started)
 

@@ -11,6 +11,7 @@ from repro.bounds.landmarks import (
     select_landmarks_maxmin,
 )
 from repro.core.resolver import SmartResolver
+from repro.dynamic import DynamicObjectSet
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
 from repro.spaces.vector import EuclideanSpace
 
@@ -59,6 +60,25 @@ class TestMaxminSelection:
             select_landmarks_maxmin(r, 0)
         with pytest.raises(ValueError):
             select_landmarks_maxmin(r, 6)
+
+    def test_live_candidates_skip_tombstones(self):
+        space = MatrixSpace(random_metric_matrix(24, np.random.default_rng(11)))
+        r = SmartResolver(space.oracle())
+        full = select_landmarks_maxmin(r, 6)
+        # Pinned: the full-universe pick and its cost stay as they were.
+        assert full == [0, 17, 16, 8, 21, 11]
+        assert r.oracle.calls == 105
+        # Tombstone every landmark but the seed: the live-id pick must
+        # neither probe nor return a dead id (the dynamic set raises on
+        # any distance that touches one).
+        objects = DynamicObjectSet.wrap(space)
+        for dead in full[1:]:
+            objects.remove(dead)
+        live = objects.alive_ids()
+        r = SmartResolver(objects.oracle())
+        landmarks = select_landmarks_maxmin(r, 6, live)
+        assert len(set(landmarks)) == 6
+        assert set(landmarks) <= set(live)
 
 
 class TestResolveMatrix:

@@ -122,7 +122,7 @@ class TestWeakTierRejection:
             eng.close(snapshot=False)
 
 
-@pytest.mark.parametrize("provider", ["tri", "splub", "laesa", "sketch"])
+@pytest.mark.parametrize("provider", ["tri", "splub", "laesa"])
 class TestStandingQueries:
     def test_knng_tracks_churn_exactly(self, space, provider):
         objects = DynamicObjectSet.wrap(space, initial=24)

@@ -1,14 +1,10 @@
 """Tests for provider-maintenance dispatch across mutation batches."""
 
-import math
-
 import pytest
 
 from repro.bounds import Aesa, Laesa, Splub, TriScheme
-from repro.bounds.sketch import SketchBoundProvider
 from repro.core.bounds import IntersectionBounder
 from repro.core.exceptions import ConfigurationError
-from repro.core.partial_graph import PartialDistanceGraph
 from repro.core.resolver import SmartResolver
 from repro.dynamic import MUTABLE_PROVIDERS, apply_provider_mutations
 from repro.spaces.matrix import MatrixSpace, random_metric_matrix
@@ -35,7 +31,7 @@ class TestDispatch:
             apply_provider_mutations(aesa, [3], [7])
 
     def test_mutable_provider_names_are_buildable(self):
-        assert MUTABLE_PROVIDERS == {"none", "tri", "splub", "laesa", "sketch"}
+        assert MUTABLE_PROVIDERS == {"none", "tri", "splub", "laesa"}
 
     def test_intersection_fans_out_and_merges(self, space, resolver):
         splub = Splub(resolver.graph, space.diameter_bound())
@@ -105,26 +101,3 @@ class TestLaesaMaintenance:
         counters = laesa.apply_mutations([], removed, resolver=resolver)
         assert counters["landmark_reselections"] == 1
         assert all(graph.is_alive(lm) for lm in laesa.landmarks)
-
-
-class TestSketchMaintenance:
-    def test_tree_sketch_masks_mutated_columns(self, space, resolver):
-        graph = resolver.graph
-        for pair in [(0, 1), (1, 2), (2, 3), (3, 4)]:
-            resolver.distance(*pair)
-        sketch = SketchBoundProvider.from_graph(
-            graph, [0, 2], space.diameter_bound()
-        )
-        counters = sketch.apply_mutations([], [3])
-        assert counters["sketch_rows_dropped"] == 0
-        assert math.isinf(sketch._matrix[0, 3])
-
-    def test_dead_landmark_row_dropped(self, space, resolver):
-        graph = resolver.graph
-        resolver.distance(0, 1)
-        sketch = SketchBoundProvider.from_graph(
-            graph, [0, 2], space.diameter_bound()
-        )
-        counters = sketch.apply_mutations([], [2])
-        assert counters["sketch_rows_dropped"] == 1
-        assert sketch.landmarks == [0]

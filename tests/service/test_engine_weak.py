@@ -1,6 +1,5 @@
 """Engine-level tests for the weak/strong oracle tier."""
 
-import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError
