@@ -24,7 +24,6 @@ from repro.core import (
     resume_resolver,
     save_graph,
     DistanceOracle,
-    Oracle,
     PartialDistanceGraph,
     ResolverStats,
     SmartResolver,
@@ -123,7 +122,6 @@ __all__ = [
     "ManhattanSpace",
     "MatrixSpace",
     "MinkowskiSpace",
-    "Oracle",
     "PartialDistanceGraph",
     "ResolverStats",
     "RoadNetworkSpace",

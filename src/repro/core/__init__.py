@@ -25,7 +25,6 @@ from repro.core.csr_store import CSRStore
 from repro.core.locking import ReadWriteLock
 from repro.core.oracle import (
     DistanceOracle,
-    Oracle,
     OracleStats,
     WallClockOracle,
     canonical_pair,
@@ -61,7 +60,6 @@ __all__ = [
     "JobBudgetExhaustedError",
     "JobCancelledError",
     "MetricViolationError",
-    "Oracle",
     "OracleResolutionError",
     "OracleStats",
     "PartialDistanceGraph",

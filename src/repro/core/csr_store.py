@@ -25,11 +25,6 @@ so a reader that samples the header sees only complete rows; a reader
 calls :meth:`CSRStore.refresh` to observe a later epoch and attaches any
 new segments by name — it never copies or re-reads old rows.
 
-On top of the raw columns, :meth:`CSRStore.csr` materialises the classic
-compressed-sparse-row view (``indptr``/``indices``/``weights`` over the
-symmetric adjacency), cached per epoch — the natural input for the
-vectorised bound kernels.
-
 Exactly one process may write (the single-writer rule every
 :class:`~repro.core.partial_graph.PartialDistanceGraph` commit path already
 obeys); any number may attach read-only.  Stores round-trip through the v2
@@ -101,7 +96,7 @@ class CSRStore:
     """Append-only shared-memory edge columns with an epoch-tagged header.
 
     Build with :meth:`create` (owner/writer), :meth:`attach` (read-only
-    peer), :meth:`from_graph`, or :meth:`from_archive`.  The owner must
+    peer), or :meth:`from_archive`.  The owner must
     eventually call :meth:`unlink`; every attacher just :meth:`close`\\ s.
     """
 
@@ -126,7 +121,6 @@ class CSRStore:
         self.metadata: Dict[str, Any] = {}
         self._num_edges = int(self._header[_H_EDGES])
         self._columns_cache: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
-        self._csr_cache: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -172,21 +166,6 @@ class CSRStore:
             )
         store = cls(header, [], name=name, owner=False, writable=False)
         store.refresh()
-        return store
-
-    @classmethod
-    def from_graph(
-        cls,
-        graph,
-        *,
-        name: Optional[str] = None,
-        segment_capacity: Optional[int] = None,
-    ) -> "CSRStore":
-        """Copy a graph's resolved edges into a fresh store (insertion order)."""
-        i, j, w = graph.edge_arrays()
-        capacity = segment_capacity or max(len(i), DEFAULT_SEGMENT_CAPACITY)
-        store = cls.create(graph.n, name=name, segment_capacity=capacity)
-        store.extend_columns(i, j, w)
         return store
 
     @classmethod
@@ -342,40 +321,6 @@ class CSRStore:
             self._columns_cache = cache
         return cache[1], cache[2], cache[3]
 
-    def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressed-sparse-row view of the symmetric known-edge adjacency.
-
-        Returns ``(indptr, indices, weights)`` with ``indices[indptr[u]:
-        indptr[u+1]]`` the sorted known neighbours of ``u`` — the layout
-        the vectorised bound kernels consume.  Rebuilt only when the epoch
-        moved; derived locally (the shared segments stay untouched).
-        """
-        self._check_open()
-        m = self._num_edges
-        cache = self._csr_cache
-        if cache is not None and cache[0] == m:
-            return cache[1], cache[2], cache[3]
-        i, j, w = self.edge_columns()
-        n = self.n
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        data = np.concatenate([w, w])
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        indices = cols[order]
-        weights = data[order]
-        counts = np.bincount(rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._csr_cache = (m, indptr, indices, weights)
-        return indptr, indices, weights
-
-    def degrees(self) -> np.ndarray:
-        """Known-edge degree of every object over the visible prefix."""
-        i, j, _ = self.edge_columns()
-        n = self.n
-        return np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-
     # -- writing -------------------------------------------------------------
 
     def append(self, i: int, j: int, w: float) -> int:
@@ -435,20 +380,6 @@ class CSRStore:
         i, j, w = self.edge_columns()
         save_columns(path, self.n, i, j, w, metadata=metadata)
 
-    def to_graph(self):
-        """Replay the visible prefix into a fresh, store-bound graph.
-
-        Writer handles only: a graph binds to a store it appends to.  The
-        returned graph's :meth:`~repro.core.partial_graph.
-        PartialDistanceGraph.edge_arrays` serves these shared columns
-        directly (zero-copy) until the graph grows past the store.
-        """
-        from repro.core.partial_graph import PartialDistanceGraph
-
-        graph = PartialDistanceGraph(self.n)
-        graph.attach_store(self)
-        return graph
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -457,7 +388,6 @@ class CSRStore:
             return
         self._closed = True
         self._columns_cache = None
-        self._csr_cache = None
         for seg in self._segments:
             seg.close()
         self._segments = []

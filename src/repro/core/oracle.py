@@ -22,12 +22,9 @@ paths funnel through one charging routine, so subclasses observing charges
 :class:`~repro.core.validation.ValidatingOracle`) override the single
 :meth:`_on_charged` hook instead of ``__call__``.
 
-The surface every consumer actually relies on — call, record,
-resolve_batch, stats, plus the ``n``/``calls`` accounting properties — is
-codified by the :class:`Oracle` protocol, so alternative implementations
-(the tiered weak/strong composition in :mod:`repro.core.tiering`, test
-doubles) can stand in for :class:`DistanceOracle` anywhere the library
-accepts one.
+:class:`DistanceOracle` is the one meter: resolvers, batchers and engines
+all charge through it.  The weak tier of :mod:`repro.core.tiering` is a
+:class:`DistanceOracle` subclass that only ever feeds bound providers.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.exceptions import BudgetExceededError, InvalidObjectError
 
@@ -76,52 +73,6 @@ class OracleStats:
             retries=self.retries - other.retries,
             timeouts=self.timeouts - other.timeouts,
         )
-
-
-@runtime_checkable
-class Oracle(Protocol):
-    """Protocol for anything that answers (and accounts for) distance calls.
-
-    :class:`DistanceOracle` and its subclasses satisfy it structurally, as
-    does :class:`~repro.core.tiering.TieredOracle`.  Consumers that accept
-    "an oracle" (resolvers, batchers, engines) need exactly this surface:
-
-    * ``oracle(i, j)`` — resolve one pair, charging on the first request;
-    * ``record(i, j, value)`` — commit an externally computed distance with
-      identical accounting (the batched pipeline's commit half);
-    * ``resolve_batch(pairs)`` — many pairs, serial reference semantics;
-    * ``stats()`` — an :class:`OracleStats` snapshot;
-    * ``n`` / ``calls`` — universe size and charged-call count.
-
-    ``isinstance(obj, Oracle)`` checks member presence only (the usual
-    runtime-checkable protocol semantics), not signatures.
-    """
-
-    @property
-    def n(self) -> int:
-        """Size of the object universe."""
-        ...
-
-    @property
-    def calls(self) -> int:
-        """Number of charged oracle invocations so far."""
-        ...
-
-    def __call__(self, i: int, j: int) -> float:
-        """Return ``dist(i, j)``, charging on the first request for the pair."""
-        ...
-
-    def record(self, i: int, j: int, value: float) -> float:
-        """Commit an externally computed distance with full accounting."""
-        ...
-
-    def resolve_batch(self, pairs: Iterable[Pair]) -> list[float]:
-        """Resolve many pairs, returning distances in input order."""
-        ...
-
-    def stats(self) -> OracleStats:
-        """Snapshot the accounting counters."""
-        ...
 
 
 class DistanceOracle:
@@ -164,7 +115,6 @@ class DistanceOracle:
         self._calls = 0
         self._cache_hits = 0
         self._simulated_seconds = 0.0
-        self._batch_requests = 0
         self._retries = 0
         self._timeouts = 0
         self._listeners: List[Callable[[int, int, float], None]] = []
@@ -235,7 +185,6 @@ class DistanceOracle:
         self._calls = 0
         self._cache_hits = 0
         self._simulated_seconds = 0.0
-        self._batch_requests = 0
         self._retries = 0
         self._timeouts = 0
 
@@ -360,45 +309,6 @@ class DistanceOracle:
                 "removed ids are tombstoned, not dropped"
             )
         self._n = new_n
-
-    def resolve_batch(self, pairs: Iterable[Pair]) -> list[float]:
-        """Resolve many pairs, returning their distances in input order.
-
-        Each uncached element is charged as an individual call — this is the
-        serial reference semantics that :class:`repro.exec.BatchOracle`
-        reproduces concurrently.  Contrast with :meth:`batch`, which models
-        a distance-matrix endpoint charging one latency unit per request.
-        """
-        return [self(i, j) for i, j in pairs]
-
-    def batch(self, pairs: Iterable[Pair]) -> list[float]:
-        """Resolve many pairs in one logical request.
-
-        Real distance services (maps distance-matrix endpoints, batched
-        embedding comparisons) accept many elements per request; callers
-        that can batch should.  Accounting: every *uncached* element is
-        charged as usual, but the whole batch adds only **one** unit of
-        simulated latency — the per-request cost model of such APIs.
-        Returns the distances in input order.
-        """
-        results: list[float] = []
-        fresh = 0
-        for i, j in pairs:
-            before = self._calls
-            results.append(self(i, j))
-            if self._calls != before:
-                fresh += 1
-                # Refund the per-call latency; the batch is priced once.
-                self._simulated_seconds -= self._cost_per_call
-        if fresh:
-            self._simulated_seconds += self._cost_per_call
-            self._batch_requests += 1
-        return results
-
-    @property
-    def batch_requests(self) -> int:
-        """Number of non-empty batched requests issued so far."""
-        return self._batch_requests
 
     def peek(self, i: int, j: int) -> float | None:
         """Return the cached distance for ``(i, j)`` or None, free of charge."""

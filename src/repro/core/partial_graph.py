@@ -101,9 +101,6 @@ class PartialDistanceGraph:
         self.edge_mirror_appends = 0
         self.edge_mirror_compactions = 0
         self.csr_mirror_rebuilds = 0
-        # Optional bound CSRStore (attach_store): rows [0, num_edges) of the
-        # store correspond 1:1, in order, to this graph's edges.
-        self._store = None
         if registry is not None:
             self.instrument(registry)
 
@@ -148,11 +145,6 @@ class PartialDistanceGraph:
     def num_alive(self) -> int:
         """Number of live (non-tombstoned) objects."""
         return self._n - self._dead_count
-
-    @property
-    def num_tombstones(self) -> int:
-        """Number of removed (tombstoned) object slots."""
-        return self._dead_count
 
     def alive_ids(self) -> List[int]:
         """Sorted ids of all live objects."""
@@ -231,62 +223,9 @@ class PartialDistanceGraph:
         self._node_epochs[key[1]] += 1
         if self._edge_buf is not None:
             self._append_edge_row(key[0], key[1], distance)
-        if self._store is not None:
-            self._store.append(key[0], key[1], distance)
         for listener in self._edge_listeners:
             listener(key[0], key[1], distance)
         return True
-
-    # -- shared-memory store binding ----------------------------------------
-
-    @property
-    def store(self):
-        """The bound :class:`~repro.core.csr_store.CSRStore`, or ``None``."""
-        return self._store
-
-    def attach_store(self, store) -> None:
-        """Bind a writable :class:`~repro.core.csr_store.CSRStore` to this graph.
-
-        After binding, store rows ``[0, num_edges)`` mirror this graph's
-        edges in insertion order and every future :meth:`add_edge` lands
-        as an append.  Store edges absent from the graph are merged in
-        first and an empty store is backfilled with the graph's current
-        edges; a weight conflict raises ``ValueError`` and leaves no
-        binding.  A read-only store is refused (``PermissionError``): rows
-        its writer publishes later would make the row count match this
-        graph's while the edge sets differ.  Engines merge such rows
-        through :meth:`~repro.service.engine.ProximityEngine.adopt_store`.
-        """
-        if self._store is not None:
-            raise ValueError("graph already has a bound store")
-        if not store.writable:
-            raise PermissionError(
-                f"CSR store {store.name!r} is read-only; only its writer may "
-                "bind it to a graph"
-            )
-        if store.n != self._n:
-            raise ValueError(
-                f"store covers {store.n} objects but the graph has {self._n}"
-            )
-        backfill = store.num_edges == 0 and self._weights
-        for i, j, w in store.iter_edges():
-            existing = self._weights.get(canonical_pair(i, j))
-            if existing is not None and existing != w:
-                raise ValueError(
-                    f"store edge ({i}, {j}) has weight {w} but the graph "
-                    f"knows {existing}"
-                )
-        for i, j, w in store.iter_edges():
-            self.add_edge(i, j, w)
-        if backfill:
-            for (i, j), w in self._weights.items():
-                store.append(i, j, w)
-        if store.num_edges != len(self._weights):
-            raise ValueError(
-                f"cannot bind: store holds {store.num_edges} edges but the "
-                f"graph has {len(self._weights)}"
-            )
-        self._store = store
 
     def subscribe_edges(self, listener: Callable[[int, int, float], None]) -> None:
         """Register ``listener(i, j, distance)`` to run after every new edge.
@@ -348,23 +287,12 @@ class PartialDistanceGraph:
             fn=lambda: self.csr_mirror_rebuilds,
         )
 
-    def unsubscribe_edges(self, listener: Callable[[int, int, float], None]) -> None:
-        """Remove a previously registered edge listener."""
-        self._edge_listeners.remove(listener)
-
     def _insert_neighbor(self, u: int, v: int, distance: float) -> None:
         pos = bisect_left(self._adjacency[u], v)
         self._adjacency[u].insert(pos, v)
         self._adj_weights[u].insert(pos, distance)
 
     # -- mutation (tombstoning and growth) -----------------------------------
-
-    def _check_mutable(self) -> None:
-        if self._store is not None:
-            raise ValueError(
-                "cannot mutate a graph bound to a CSRStore (the store is "
-                "append-only shared memory); call detach_store() first"
-            )
 
     def remove_node(self, i: int) -> int:
         """Tombstone object ``i``, dropping only its incident edges.
@@ -376,7 +304,6 @@ class PartialDistanceGraph:
         the number of edges dropped.
         """
         self._check_index(i)
-        self._check_mutable()
         if not self._alive[i]:
             raise InvalidObjectError(i, self._n)
         neighbours = list(self._adjacency[i])
@@ -404,7 +331,6 @@ class PartialDistanceGraph:
         """Append ``count`` fresh live object slots; return the new ``n``."""
         if count <= 0:
             raise ValueError("grow count must be positive")
-        self._check_mutable()
         self._adjacency.extend([] for _ in range(count))
         self._adj_weights.extend([] for _ in range(count))
         self._node_mirror.extend([None] * count)
@@ -422,29 +348,12 @@ class PartialDistanceGraph:
         any cache that ever mentioned the dead incarnation notices.
         """
         self._check_index(i)
-        self._check_mutable()
         if self._alive[i]:
             raise ValueError(f"object {i} is already alive")
         self._alive[i] = True
         self._dead_count -= 1
         self._node_epochs[i] += 1
         self._epoch += 1
-
-    def detach_store(self) -> object:
-        """Unbind and return the CSRStore so the graph becomes mutable.
-
-        The store keeps whatever rows it holds (append-only history); the
-        graph falls back to its local mirrors, rebuilding the flat edge
-        buffer from the weights dict on next use if it was never
-        materialised locally.
-        """
-        store = self._store
-        if store is None:
-            raise ValueError("no store bound to this graph")
-        self._store = None
-        self._edge_view = None
-        self._csr_mirror = None
-        return store
 
     def restore_mutation_state(
         self,
@@ -575,15 +484,8 @@ class PartialDistanceGraph:
         *extended in place by each insert* (:attr:`edge_mirror_appends`) —
         an epoch bump never triggers a redundant whole-mirror rebuild, and
         read-only workloads leave both counters untouched.
-
-        When a store is bound and current (row count equals the graph's
-        edge count) the store's columns are returned directly — zero-copy
-        for a single-segment store.
         """
         m = len(self._weights)
-        store = self._store
-        if store is not None and store.num_edges == m:
-            return store.edge_columns()
         if self._edge_buf is None:
             self.edge_mirror_rebuilds += 1
             self._materialise_edge_buf()
@@ -599,16 +501,10 @@ class PartialDistanceGraph:
 
         ``indices[indptr[u]:indptr[u + 1]]`` are the sorted known
         neighbours of ``u`` with matching ``weights`` — the layout the
-        CSR kernels in :mod:`repro.bounds.kernels` consume.  Served
-        straight from a bound-and-current :class:`~repro.core.csr_store.
-        CSRStore` (:meth:`~repro.core.csr_store.CSRStore.csr`); otherwise a
-        local mirror keyed on :attr:`epoch` is rebuilt vectorised from the
-        flat edge columns.  Do not mutate the arrays.
+        CSR kernels in :mod:`repro.bounds.kernels` consume.  A mirror
+        keyed on :attr:`epoch` is rebuilt vectorised from the flat edge
+        columns.  Do not mutate the arrays.
         """
-        m = len(self._weights)
-        store = self._store
-        if store is not None and store.num_edges == m:
-            return store.csr()
         mirror = self._csr_mirror
         if mirror is None or mirror[0] != self._epoch:
             self.csr_mirror_rebuilds += 1

@@ -312,23 +312,6 @@ class SmartResolver:
         """
         self._bound_memo.clear()
 
-    def forget_objects(self, ids) -> int:
-        """Purge memoised intervals and approximations touching ``ids``.
-
-        Required when object ids are removed or recycled: the stale-but-
-        conclusive reuse path may otherwise serve a dead incarnation's
-        interval for a brand-new object.  Returns the number of entries
-        dropped.
-        """
-        ids = set(ids)
-        dropped = 0
-        for cache in (self._bound_memo, self._approx_cache):
-            stale = [key for key in cache if key[0] in ids or key[1] in ids]
-            for key in stale:
-                del cache[key]
-            dropped += len(stale)
-        return dropped
-
     # -- raw access ---------------------------------------------------------
 
     def known(self, i: int, j: int) -> Optional[float]:

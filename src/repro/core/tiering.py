@@ -1,4 +1,4 @@
-"""Two-tier weak/strong distance oracles behind the :class:`Oracle` protocol.
+"""Two-tier weak/strong distance oracles: the weak tier only bounds.
 
 *Metric Clustering and MST with Strong and Weak Distance Oracles* (Gershtein
 et al., arXiv 2310.15863) observes that many expensive metrics come with a
@@ -11,18 +11,17 @@ byte-identical to a strong-only run:
 
 * :class:`WeakBand` — the error-band contract ``lo·e <= d <= hi·e``;
 * :class:`WeakOracle` — a :class:`~repro.core.oracle.DistanceOracle` whose
-  answers are estimates carrying a declared band (it inherits all caching,
-  counting, and batching machinery, so :class:`repro.exec.BatchOracle` can
-  wrap it unchanged);
+  answers are estimates carrying a declared band (it inherits all caching
+  and counting, so weak calls are metered apart from strong ones);
 * :class:`WeakBoundProvider` — turns each weak estimate into a *sound*
   lower/upper interval and feeds it to the bound engine as a first-class
   :class:`~repro.core.bounds.BoundProvider`, so weak answers tighten
   :class:`~repro.core.resolver.SmartResolver` bounds and order candidate
   resolution exactly like any other scheme;
-* :class:`TieredOracle` — the weak+strong composition.  It satisfies the
-  :class:`~repro.core.oracle.Oracle` protocol by delegating exact
-  resolution to the strong tier, and hands out bound providers wired to the
-  weak tier.
+* :class:`TieredOracle` — the weak+strong pair.  It hands out bound
+  providers wired to the weak tier and meters both tiers; exact
+  resolution stays with the strong :class:`DistanceOracle`, which callers
+  pass to the resolver themselves.
 
 Exactness is preserved for the same reason every bound scheme preserves it:
 the weak tier only ever contributes *intervals*.  The resolver still falls
@@ -36,10 +35,10 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List
 
 from repro.core.bounds import BaseBoundProvider, Bounds, IntersectionBounder
-from repro.core.oracle import DistanceFn, DistanceOracle, OracleStats, Pair, canonical_pair
+from repro.core.oracle import DistanceFn, DistanceOracle
 from repro.core.partial_graph import PartialDistanceGraph
 
 __all__ = [
@@ -81,11 +80,6 @@ class WeakBand:
                 f"hi_factor ({self.hi_factor}) must be >= lo_factor ({self.lo_factor})"
             )
 
-    @property
-    def is_lower_bound_only(self) -> bool:
-        """True when the band carries no upper-bound information."""
-        return math.isinf(self.hi_factor)
-
     def interval(self, estimate: float) -> Bounds:
         """The interval the band guarantees around one estimate.
 
@@ -110,11 +104,10 @@ def _coerce_band(band) -> WeakBand:
 class WeakOracle(DistanceOracle):
     """A cheap estimator with a declared error band.
 
-    Subclasses :class:`DistanceOracle`, so estimates are cached, counted,
-    and committable through :meth:`record` exactly like exact distances —
-    which is what lets :class:`repro.exec.BatchOracle` batch weak calls with
-    zero new machinery.  ``weak.calls`` is therefore the number of *charged
-    weak estimates*, kept entirely separate from the strong tier's count.
+    Subclasses :class:`DistanceOracle`, so estimates are cached and counted
+    exactly like exact distances.  ``weak.calls`` is therefore the number
+    of *charged weak estimates*, kept entirely separate from the strong
+    tier's count.
 
     Parameters
     ----------
@@ -158,13 +151,7 @@ class WeakBoundProvider(BaseBoundProvider):
 
     Each query resolves the pair's weak estimate (cached after the first
     request) and intersects the band interval with the trivial bounds, so
-    the answer is always at least as tight as knowing nothing.  With a
-    ``batcher`` (a :class:`repro.exec.BatchOracle` wrapping the *weak*
-    oracle), :meth:`bounds_many` prefetches a whole frontier's estimates as
-    one batch — the path the up-front bound sweep of the resolver's
-    ``argmin``/``knearest`` scans hits.  Weak calls are cheap, so they are
-    batched per frontier; strong calls are batched only per resolution
-    wave.
+    the answer is always at least as tight as knowing nothing.
 
     Counters: :attr:`weak_calls` mirrors the weak oracle's charged calls;
     :attr:`weak_band` counts queries whose interval was strictly tightened
@@ -181,7 +168,6 @@ class WeakBoundProvider(BaseBoundProvider):
         graph: PartialDistanceGraph,
         weak: WeakOracle,
         max_distance: float = math.inf,
-        batcher=None,
         lock=None,
     ) -> None:
         super().__init__(graph, max_distance)
@@ -189,10 +175,7 @@ class WeakBoundProvider(BaseBoundProvider):
             raise ValueError(
                 f"weak oracle universe ({weak.n}) does not match graph ({graph.n})"
             )
-        if batcher is not None and batcher.oracle is not weak:
-            raise ValueError("batcher must wrap the same WeakOracle as the provider")
         self.weak = weak
-        self.batcher = batcher
         self._lock = lock if lock is not None else contextlib.nullcontext()
         self.name = f"weak[{weak.name}]"
         #: Bound queries whose interval the band strictly tightened.
@@ -214,35 +197,15 @@ class WeakBoundProvider(BaseBoundProvider):
             self.weak_band += 1
         return out
 
-    def bounds_many(self, pairs: Iterable[Tuple[int, int]]) -> List[Bounds]:
-        """Batch path: prefetch unknown estimates in one weak-tier batch."""
-        pairs = list(pairs)
-        if self.batcher is not None:
-            todo = sorted(
-                {
-                    canonical_pair(i, j)
-                    for i, j in pairs
-                    if i != j
-                    and self.graph.get(i, j) is None
-                    and self.weak.peek(i, j) is None
-                }
-            )
-            if todo:
-                with self._lock:
-                    self.batcher.resolve_many(todo)
-        return [self.bounds(i, j) for i, j in pairs]
-
 
 class TieredOracle:
-    """Weak+strong oracle composition satisfying the :class:`Oracle` protocol.
+    """Weak+strong oracle pair: bound providers from the weak tier.
 
-    Exact resolution (``__call__``/``record``/``resolve_batch``) delegates
-    to the **strong** tier, so a :class:`~repro.core.resolver.SmartResolver`
-    driven by the strong oracle and a :meth:`bounder`-built provider
-    produces byte-identical outputs to a strong-only run.  The **weak**
-    tier is consulted only through bound providers, and its calls are
-    routed through a :class:`repro.exec.BatchOracle` so frontier prefetches
-    go out as batches.
+    The **strong** tier resolves exact distances; callers drive a
+    :class:`~repro.core.resolver.SmartResolver` with it directly.  The
+    **weak** tier is consulted only through the providers :meth:`bounder`
+    and :meth:`attach` build, so the resolver's outputs stay
+    byte-identical to a strong-only run.
 
     Parameters
     ----------
@@ -250,10 +213,6 @@ class TieredOracle:
         The exact (expensive) oracle.
     weak:
         The banded estimator over the same universe.
-    weak_executor:
-        Executor for the weak tier's batcher — ``None`` (serial), an
-        executor name (``"serial"``/``"threaded"``), or a ready
-        :class:`~repro.exec.executor.BaseExecutor`.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when given,
         :meth:`instrument` runs at construction (the unified convention).
@@ -264,7 +223,6 @@ class TieredOracle:
         strong: DistanceOracle,
         weak: WeakOracle,
         *,
-        weak_executor=None,
         registry=None,
     ) -> None:
         if weak.n != strong.n:
@@ -273,74 +231,12 @@ class TieredOracle:
             )
         self.strong = strong
         self.weak = weak
-        # Imported lazily: repro.exec imports repro.core, not the reverse.
-        from repro.exec.batch_oracle import BatchOracle
-        from repro.exec.executor import make_executor
-
-        if isinstance(weak_executor, str):
-            weak_executor = make_executor(weak_executor)
-        self.weak_batcher = BatchOracle(weak, executor=weak_executor)
         self._providers: List[WeakBoundProvider] = []
         self.registry = registry
         if registry is not None:
             self.instrument(registry)
 
-    # -- Oracle protocol (delegating to the strong tier) ---------------------
-
-    @property
-    def n(self) -> int:
-        """Size of the object universe."""
-        return self.strong.n
-
-    @property
-    def calls(self) -> int:
-        """Charged *strong* calls — the paper's expensive resource."""
-        return self.strong.calls
-
-    @property
-    def distance_fn(self) -> DistanceFn:
-        """The strong tier's raw distance function."""
-        return self.strong.distance_fn
-
-    def __call__(self, i: int, j: int) -> float:
-        """Exact distance through the strong tier."""
-        return self.strong(i, j)
-
-    def record(self, i: int, j: int, value: float) -> float:
-        """Commit an externally computed exact distance to the strong tier."""
-        return self.strong.record(i, j, value)
-
-    def seed(self, i: int, j: int, value: float) -> bool:
-        """Pre-fill the strong cache free of charge."""
-        return self.strong.seed(i, j, value)
-
-    def peek(self, i: int, j: int) -> Optional[float]:
-        """The strong tier's cached distance, or None."""
-        return self.strong.peek(i, j)
-
-    def is_resolved(self, i: int, j: int) -> bool:
-        """True when the strong tier already knows the pair."""
-        return self.strong.is_resolved(i, j)
-
-    def resolve_batch(self, pairs: Iterable[Pair]) -> list[float]:
-        """Exact distances for many pairs through the strong tier."""
-        return self.strong.resolve_batch(pairs)
-
-    def stats(self) -> OracleStats:
-        """The strong tier's accounting snapshot."""
-        return self.strong.stats()
-
-    def reset(self) -> None:
-        """Reset both tiers' counters and caches."""
-        self.strong.reset()
-        self.weak.reset()
-
     # -- tier accounting -----------------------------------------------------
-
-    @property
-    def strong_calls(self) -> int:
-        """Charged strong (exact) calls."""
-        return self.strong.calls
 
     @property
     def weak_calls(self) -> int:
@@ -351,11 +247,6 @@ class TieredOracle:
     def weak_band(self) -> int:
         """Bound queries tightened by the band, across providers built here."""
         return sum(p.weak_band for p in self._providers)
-
-    @property
-    def band(self) -> WeakBand:
-        """The weak tier's declared error band."""
-        return self.weak.band
 
     # -- bound-provider factory ----------------------------------------------
 
@@ -373,13 +264,7 @@ class TieredOracle:
         at least as tight as either alone on every query.  Without one,
         returns the bare :class:`WeakBoundProvider`.
         """
-        provider = WeakBoundProvider(
-            graph,
-            self.weak,
-            max_distance=max_distance,
-            batcher=self.weak_batcher,
-            lock=lock,
-        )
+        provider = WeakBoundProvider(graph, self.weak, max_distance=max_distance, lock=lock)
         self._providers.append(provider)
         if base is None:
             return provider
@@ -421,14 +306,9 @@ class TieredOracle:
             fn=lambda: self.weak_band,
         )
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the weak tier's batch executor."""
-        self.weak_batcher.close()
-
+    # Kept because callers still write ``with TieredOracle(...) as tiered``.
     def __enter__(self) -> "TieredOracle":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        pass

@@ -270,8 +270,6 @@ def run_experiment(
     finally:
         if batcher is not None:
             batcher.close()
-        if tiered is not None:
-            tiered.close()
 
     resolver_stats = resolver.collect_stats()
     metrics_snapshot: Optional[Dict[str, float]] = None

@@ -122,16 +122,6 @@ class TracingOracle(DistanceOracle):
             out[event.phase] = out.get(event.phase, 0) + 1
         return out
 
-    def call_rate_halves(self) -> tuple:
-        """Calls in the first vs second half of the event sequence's span.
-
-        A decaying rate (first > second) is the compounding signature.
-        """
-        if not self.events:
-            return (0, 0)
-        midpoint = len(self.events) // 2
-        return (midpoint, len(self.events) - midpoint)
-
     def write_csv(self, path) -> None:
         """Dump the trace as CSV (sequence, i, j, distance, t, phase, batch).
 

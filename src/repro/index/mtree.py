@@ -53,10 +53,6 @@ class _Entry:
         self.radius = radius
         self.child = child
 
-    @property
-    def is_routing(self) -> bool:
-        return self.child is not None
-
 
 class _Node:
     __slots__ = ("entries", "is_leaf")

@@ -140,7 +140,6 @@ class _JobRuntime:
         "cancel",
         "deadline_at",
         "expired",
-        "use_weak",
         "stretch",
         "rw",
     )
@@ -148,7 +147,6 @@ class _JobRuntime:
     def __init__(self, job: Job, rw: ReadWriteLock) -> None:
         self.job_id = job.id
         self.budget = job.spec.oracle_budget
-        self.use_weak = job.spec.use_weak
         self.stretch = job.spec.stretch
         self.charged = 0
         self.warm_hits = 0
@@ -273,11 +271,10 @@ class ProximityEngine:
         always has a ``/metrics``-ready surface at ``engine.registry``.
     weak_oracle:
         Optional :class:`~repro.core.tiering.WeakOracle` over the same
-        universe.  When configured, jobs submitted with ``use_weak=True``
-        (the :class:`~repro.service.jobs.JobSpec` default) run against a
-        base ∩ weak bound provider: cheap banded estimates tighten bounds
-        so the strong oracle fires only on inconclusive pairs — answers
-        stay byte-identical either way.
+        universe.  When configured, every job runs against a base ∩ weak
+        bound provider: cheap banded estimates tighten bounds so the strong
+        oracle fires only on inconclusive pairs — answers stay
+        byte-identical to a strong-only engine.
     """
 
     def __init__(
@@ -319,7 +316,6 @@ class ProximityEngine:
         self._oracle_lock = threading.RLock()
         self._exec_lock = threading.Lock()
         self._shared_memo: Dict[Pair, tuple] = {}
-        self._shared_memo_weak: Dict[Pair, tuple] = {}
         self._stats_lock = threading.Lock()
         # Weak-tier mutation (estimate cache fills) happens under the
         # engine's *read* lock, so it gets its own mutex.
@@ -605,7 +601,6 @@ class ProximityEngine:
         oracle_budget: Optional[int] = None,
         deadline: Optional[float] = None,
         label: str = "",
-        use_weak: bool = True,
         stretch: float = 1.0,
         **params: Any,
     ) -> Job:
@@ -618,7 +613,6 @@ class ProximityEngine:
                 oracle_budget=oracle_budget,
                 deadline=deadline,
                 label=label,
-                use_weak=use_weak,
                 stretch=stretch,
             )
         )
@@ -664,16 +658,14 @@ class ProximityEngine:
 
         Its bound memo is the engine's shared dict — epoch keys keep it
         sound across jobs, and an entry one job computes is served to every
-        other job for free.  Weak and base providers compute different
-        intervals, so each provider path keeps its own shared memo.
+        other job for free.  With a weak tier every job reads base ∩ weak.
         """
-        use_weak = self._weak_bounder is not None and runtime.use_weak
         resolver = SmartResolver(
             self.oracle,
-            bounder=self._weak_bounder if use_weak else self.bounder,
+            bounder=self.bounder if self._weak_bounder is None else self._weak_bounder,
             graph=self.graph,
             stretch=runtime.stretch,
-            memo=self._shared_memo_weak if use_weak else self._shared_memo,
+            memo=self._shared_memo,
             stretch_hist=self._m_answer_stretch,
             read_guard=runtime.read_guard,
             note_known=runtime.note_known,
@@ -959,11 +951,12 @@ class ProximityEngine:
                             result.oracle_forgotten += self.oracle.forget(new_id)
                         result.inserted_ids.append(new_id)
                 touched = set(result.inserted_ids) | set(result.removed_ids)
-                for memo in (self._shared_memo, self._shared_memo_weak):
-                    stale = [k for k in memo if k[0] in touched or k[1] in touched]
-                    for key in stale:
-                        del memo[key]
-                    result.memo_purged += len(stale)
+                stale = [
+                    k for k in self._shared_memo if k[0] in touched or k[1] in touched
+                ]
+                for key in stale:
+                    del self._shared_memo[key]
+                result.memo_purged += len(stale)
                 maint = SmartResolver(
                     self.oracle, bounder=self.bounder, graph=self.graph
                 )
@@ -1059,73 +1052,50 @@ class ProximityEngine:
 
     def _refresh_knn(self, resolver, sub, inserted, removed, alive):
         query = int(sub.params["query"])
-        k = int(sub.params["k"])
         if not self.graph.is_alive(query) or query in removed:
             # The standing query's own object left (a recycled slot is a new
             # incarnation): the result empties until re-subscription.
             return []
-        pool = [c for c in alive if c != query]
-        old = [e for e in sub.result if e[1] not in removed]
-        if len(old) < len(sub.result) or query in inserted:
-            # Membership shrank (or the query itself is new): recompute.
-            return [tuple(e) for e in resolver.knearest(query, pool, k)]
-        fresh = [x for x in inserted if x != query]
-        if not fresh:
-            return list(sub.result)
-        # Bounds-first insert screening: with kth the current k-th distance,
-        # LB(q, x) > kth proves x outside the result — the final kth can only
-        # shrink, so the skip stays sound as candidates accumulate.
-        kth = old[k - 1][0] if len(old) >= k else math.inf
-        merged = list(old)
-        changed = False
-        for x in fresh:
-            if len(old) >= k and resolver.bounds(query, x).lower > kth:
-                continue
-            merged.append((resolver.distance(query, x), x))
-            changed = True
-        if not changed:
-            return list(sub.result)
-        merged.sort()
-        return merged[:k]
+        return self._refresh_row(
+            resolver, query, sub.result, int(sub.params["k"]),
+            query in inserted, inserted, removed, alive,
+        )
 
     def _refresh_knng(self, resolver, sub, inserted, removed, alive):
         k = int(sub.params["k"])
         old = sub.result
         inserted_set = set(inserted)
-        rows: Dict[int, tuple] = {}
-        for u in alive:
-            row = old.get(u) if u not in inserted_set else None
-            if row is None:
-                pool = [c for c in alive if c != u]
-                rows[u] = tuple(
-                    tuple(e) for e in resolver.knearest(u, pool, k)
-                )
+        return {
+            u: tuple(self._refresh_row(
+                resolver, u, old.get(u, ()), k,
+                u in inserted_set or u not in old, inserted, removed, alive,
+            ))
+            for u in alive
+        }
+
+    @staticmethod
+    def _refresh_row(resolver, owner, row, k, new_owner, inserted, removed, alive):
+        """One standing kNN row after a batch, re-established bounds-first."""
+        survivors = [e for e in row if e[1] not in removed]
+        if new_owner or len(survivors) < len(row):
+            # Membership shrank (or the owner itself is new): recompute.
+            pool = [c for c in alive if c != owner]
+            return [tuple(e) for e in resolver.knearest(owner, pool, k)]
+        # Bounds-first insert screening: with kth the current k-th distance,
+        # LB(owner, x) > kth proves x outside the row — the final kth can
+        # only shrink, so the skip stays sound as candidates accumulate.
+        kth = survivors[k - 1][0] if len(survivors) >= k else math.inf
+        merged = list(survivors)
+        for x in inserted:
+            if x == owner:
                 continue
-            survivors = [e for e in row if e[1] not in removed]
-            if len(survivors) < len(row):
-                pool = [c for c in alive if c != u]
-                rows[u] = tuple(
-                    tuple(e) for e in resolver.knearest(u, pool, k)
-                )
+            if len(survivors) >= k and resolver.bounds(owner, x).lower > kth:
                 continue
-            fresh = [x for x in inserted if x != u]
-            if not fresh:
-                rows[u] = tuple(row)
-                continue
-            kth = survivors[k - 1][0] if len(survivors) >= k else math.inf
-            merged = list(survivors)
-            changed = False
-            for x in fresh:
-                if len(survivors) >= k and resolver.bounds(u, x).lower > kth:
-                    continue
-                merged.append((resolver.distance(u, x), x))
-                changed = True
-            if not changed:
-                rows[u] = tuple(row)
-            else:
-                merged.sort()
-                rows[u] = tuple(tuple(e) for e in merged[:k])
-        return rows
+            merged.append((resolver.distance(owner, x), x))
+        if len(merged) == len(survivors):
+            return list(row)
+        merged.sort()
+        return [tuple(e) for e in merged[:k]]
 
     # -- persistence ---------------------------------------------------------
 
@@ -1370,8 +1340,6 @@ class ProximityEngine:
             self.snapshot()
         if self.executor is not None:
             self.executor.close()
-        if self.tiered is not None:
-            self.tiered.close()
 
     def __enter__(self) -> "ProximityEngine":
         return self

@@ -84,11 +84,6 @@ class JobSpec:
         with :attr:`JobStatus.EXPIRED`.
     label:
         Free-form tag surfaced in stats and oracle-trace phase labels.
-    use_weak:
-        Run against the engine's weak-tier bound provider when one is
-        configured (default).  ``False`` forces strong-only bounds for this
-        job — answers are identical either way, only the strong-call count
-        differs.  Ignored on engines without a weak oracle.
     stretch:
         Approximation budget (default ``1.0`` — exact).  With ``stretch >
         1``, this job may answer a distance with its current upper bound
@@ -105,7 +100,6 @@ class JobSpec:
     oracle_budget: Optional[int] = None
     deadline: Optional[float] = None
     label: str = ""
-    use_weak: bool = True
     stretch: float = 1.0
 
     def __post_init__(self) -> None:

@@ -90,7 +90,6 @@ def spec_from_dict(payload: Dict[str, Any]) -> JobSpec:
         oracle_budget=payload.get("oracle_budget"),
         deadline=payload.get("deadline"),
         label=str(payload.get("label", "")),
-        use_weak=bool(payload.get("use_weak", True)),
         stretch=float(payload.get("stretch", 1.0)),
     )
 

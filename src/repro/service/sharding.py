@@ -605,7 +605,6 @@ class ShardedEngine:
                 oracle_budget=spec.oracle_budget,
                 deadline=spec.deadline,
                 label=spec.label,
-                use_weak=spec.use_weak,
                 stretch=spec.stretch,
             )))
         return parts

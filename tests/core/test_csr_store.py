@@ -3,13 +3,11 @@
 import multiprocessing
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core.csr_store import CSRStore
 from repro.core.exceptions import SnapshotMismatchError
 from repro.core.oracle import DistanceOracle
-from repro.core.partial_graph import PartialDistanceGraph
 from repro.core.persistence import load_columns
 from repro.service import ProximityEngine
 
@@ -52,16 +50,6 @@ class TestCreateAppend:
     def test_append_canonicalises_pairs(self, store):
         store.append(4, 1, 2.0)
         assert list(store.iter_edges()) == [(1, 4, 2.0)]
-
-    def test_degrees_and_csr(self, store):
-        _filled(store)
-        degrees = store.degrees()
-        assert list(degrees) == [2, 2, 3, 1, 1, 1]
-        indptr, indices, weights = store.csr()
-        assert indptr[-1] == 2 * len(EDGES)  # both directions materialised
-        # neighbours of 2: {0, 1, 5}
-        row = indices[indptr[2]:indptr[3]]
-        assert sorted(row.tolist()) == [0, 1, 5]
 
     def test_not_picklable(self, store):
         with pytest.raises(TypeError, match="do not pickle"):
@@ -110,45 +98,6 @@ class TestAttach:
 
 
 class TestGraphInterop:
-    def test_from_graph_round_trip(self):
-        graph = PartialDistanceGraph(6)
-        for i, j, w in EDGES:
-            graph.add_edge(i, j, w)
-        store = CSRStore.from_graph(graph)
-        try:
-            assert list(store.iter_edges()) == list(
-                zip(*(c.tolist() for c in graph.edge_arrays()))
-            )
-        finally:
-            store.unlink()
-
-    def test_writable_store_mirrors_graph_appends(self, store):
-        graph = PartialDistanceGraph(6)
-        graph.attach_store(store)
-        graph.add_edge(0, 3, 0.75)
-        assert list(store.iter_edges()) == [(0, 3, 0.75)]
-
-    def test_to_graph_replays_edges(self, store):
-        _filled(store)
-        graph = store.to_graph()
-        assert graph.num_edges == len(EDGES)
-        assert graph.weight(1, 0) == 0.5
-
-    def test_edge_arrays_served_zero_copy_when_synced(self, store):
-        _filled(store)
-        graph = store.to_graph()
-        i1, _, _ = graph.edge_arrays()
-        i2, _, _ = store.edge_columns()
-        assert np.shares_memory(i1, i2)
-
-    def test_read_only_store_refuses_to_bind(self, store):
-        reader = CSRStore.attach(store.name)
-        try:
-            with pytest.raises(PermissionError):
-                PartialDistanceGraph(6).attach_store(reader)
-        finally:
-            reader.close()
-
     def test_engine_merges_rows_published_after_attach(self, store):
         # A reader adopts the store empty, then merges exactly the rows its
         # writer publishes later — free, and only the named range.

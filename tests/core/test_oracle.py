@@ -183,11 +183,6 @@ class TestBatchedExecutionSurface:
         with pytest.raises(ValueError):
             oracle.seed(0, 2, math.inf)
 
-    def test_resolve_batch_preserves_input_order(self):
-        oracle = DistanceOracle(manhattan_1d, 10)
-        assert oracle.resolve_batch([(0, 3), (5, 1), (0, 3)]) == [3.0, 4.0, 3.0]
-        assert oracle.calls == 2
-
     def test_refund_simulated(self):
         oracle = DistanceOracle(manhattan_1d, 10, cost_per_call=1.0)
         oracle(0, 1)

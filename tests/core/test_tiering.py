@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from repro.algorithms import knn_graph
 from repro.core.bounds import IntersectionBounder, TrivialBounder
-from repro.core.oracle import DistanceOracle, Oracle
+from repro.core.oracle import DistanceOracle
 from repro.core.partial_graph import PartialDistanceGraph
 from repro.core.resolver import SmartResolver
 from repro.core.tiering import TieredOracle, WeakBand, WeakBoundProvider, WeakOracle
+from repro.datasets import sf_poi_space
 from repro.exec.batch_oracle import BatchOracle
 from repro.obs import MetricsRegistry
 
@@ -23,17 +25,6 @@ def half_manhattan(i, j):
 
 def make_weak(n=10, band=(1.0, 2.0)):
     return WeakOracle(half_manhattan, n, band, name="half")
-
-
-class TestOracleProtocol:
-    def test_concrete_oracles_satisfy_protocol(self):
-        strong = DistanceOracle(manhattan_1d, 10)
-        assert isinstance(strong, Oracle)
-        assert isinstance(make_weak(), Oracle)
-        assert isinstance(TieredOracle(strong, make_weak()), Oracle)
-
-    def test_non_oracles_rejected(self):
-        assert not isinstance(object(), Oracle)
 
 
 class TestWeakBand:
@@ -109,14 +100,13 @@ class TestWeakBoundProvider:
         assert b.is_exact
         assert weak.calls == 0  # exact answers never consult the weak tier
 
-    def test_bounds_many_prefetches_through_batcher(self):
-        graph = PartialDistanceGraph(10)
+    def test_bounds_many_matches_per_pair_bounds(self):
         weak = make_weak()
-        batcher = BatchOracle(weak)
-        provider = WeakBoundProvider(graph, weak, batcher=batcher)
+        provider = WeakBoundProvider(PartialDistanceGraph(10), weak)
+        reference = WeakBoundProvider(PartialDistanceGraph(10), make_weak())
         pairs = [(0, 5), (1, 7), (2, 9), (3, 3)]
         results = provider.bounds_many(pairs)
-        assert len(results) == 4
+        assert results == [reference.bounds(i, j) for i, j in pairs]
         for (i, j), b in zip(pairs, results):
             assert b.contains(manhattan_1d(i, j))
         assert weak.calls == 3  # the self-pair is free
@@ -125,24 +115,8 @@ class TestWeakBoundProvider:
         with pytest.raises(ValueError):
             WeakBoundProvider(PartialDistanceGraph(5), make_weak(n=6))
 
-    def test_foreign_batcher_rejected(self):
-        other = BatchOracle(make_weak())
-        with pytest.raises(ValueError):
-            WeakBoundProvider(PartialDistanceGraph(10), make_weak(), batcher=other)
-
 
 class TestTieredOracle:
-    def test_exact_resolution_delegates_to_strong(self):
-        strong = DistanceOracle(manhattan_1d, 10)
-        tiered = TieredOracle(strong, make_weak())
-        assert tiered(2, 7) == 5.0
-        assert tiered.calls == 1
-        assert tiered.strong_calls == 1
-        assert tiered.weak_calls == 0
-        assert tiered.resolve_batch([(0, 3)]) == [3.0]
-        assert tiered.stats().calls == strong.stats().calls
-        tiered.close()
-
     def test_universe_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TieredOracle(DistanceOracle(manhattan_1d, 5), make_weak(n=6))
@@ -183,6 +157,25 @@ class TestTieredOracle:
             assert strong.calls > 0
             assert resolver.collect_stats().strong_calls == strong.calls
 
+    def test_knn_graph_answer_and_tier_counts(self):
+        # Pinned on a 16-point road metric: the weak tier estimates every
+        # pair once and the strong tier pays 33 of the 120 pairs.
+        space = sf_poi_space(n=16, road=True)
+        strong = space.oracle()
+        with TieredOracle(strong, space.weak_oracle()) as tiered:
+            resolver = SmartResolver(strong)
+            tiered.attach(resolver, max_distance=space.diameter_bound())
+            result = knn_graph(resolver, k=3)
+            counts = (strong.calls, tiered.weak_calls, tiered.weak_band)
+        assert [[i for _, i in row] for row in result.neighbors] == [
+            [2, 14, 15], [4, 10, 13], [0, 15, 14], [11, 7, 6],
+            [10, 1, 8], [7, 3, 11], [12, 11, 3], [5, 3, 11],
+            [13, 15, 14], [12, 6, 11], [4, 1, 13], [6, 12, 3],
+            [6, 11, 3], [8, 15, 10], [15, 8, 2], [14, 8, 13],
+        ]
+        assert counts == (33, 120, 362)
+        assert result == knn_graph(SmartResolver(space.oracle()), k=3)
+
 
 class TestInstrumentConvention:
     """Every instrumentable object: ``registry=`` kwarg + ``instrument()``."""
@@ -207,7 +200,7 @@ class TestInstrumentConvention:
         weak = make_weak()
         with TieredOracle(strong, weak) as tiered:
             tiered.instrument(registry)
-            tiered(0, 4)
+            strong(0, 4)
             weak(0, 2)
             snapshot = registry.snapshot()
             assert snapshot["repro_strong_oracle_calls_total"] == 1

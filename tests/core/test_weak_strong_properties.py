@@ -121,11 +121,8 @@ class TestTieredIdentity:
         oracle = space.oracle()
         tiered = TieredOracle(oracle, weak)
         resolver = SmartResolver(oracle)
-        try:
-            tiered.attach(resolver, max_distance=float(matrix.max()))
-            answers = _run_workloads(resolver, n, workload_seed)
-        finally:
-            tiered.close()
+        tiered.attach(resolver, max_distance=float(matrix.max()))
+        answers = _run_workloads(resolver, n, workload_seed)
 
         assert answers == baseline
         assert oracle.calls <= baseline_calls

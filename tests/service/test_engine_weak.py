@@ -79,30 +79,6 @@ class TestWeakStats:
         assert stats.weak_band == 0
 
 
-class TestUseWeakOptOut:
-    def test_opt_out_job_never_consults_weak_tier(self, space):
-        eng = ProximityEngine.for_space(
-            space, provider="tri", job_workers=1, weak_oracle=True
-        )
-        try:
-            result = eng.submit_job("knn", query=4, k=5, use_weak=False).result(60)
-            assert result.ok
-            assert eng.snapshot_stats().weak_calls == 0
-        finally:
-            eng.close(snapshot=False)
-
-    def test_opt_out_matches_opt_in_answers(self, weak_engine):
-        opt_in = weak_engine.submit_job("range", query=1, radius=2.0).result(60)
-        opt_out = weak_engine.submit_job(
-            "range", query=1, radius=2.0, use_weak=False
-        ).result(60)
-        assert opt_in.value == opt_out.value
-
-    def test_use_weak_ignored_without_weak_oracle(self, strong_engine):
-        result = strong_engine.submit_job("knn", query=2, k=3, use_weak=True).result(60)
-        assert result.ok
-
-
 class TestWeakConfiguration:
     def test_space_without_weak_oracle_rejected(self, rng):
         space = MatrixSpace(random_metric_matrix(10, rng))
@@ -120,7 +96,7 @@ class TestWeakConfiguration:
 
 
 class TestSpecWire:
-    def test_spec_from_dict_parses_use_weak(self):
+    def test_spec_from_dict_ignores_retired_use_weak_key(self):
+        # Clients that still send the retired per-job opt-out keep working.
         spec = spec_from_dict({"kind": "medoid", "use_weak": False})
-        assert spec.use_weak is False
-        assert spec_from_dict({"kind": "medoid"}).use_weak is True
+        assert spec == spec_from_dict({"kind": "medoid"})

@@ -188,18 +188,6 @@ class TestInfrastructureProperties:
         assert np.allclose(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0)
 
-    @given(metric_spaces(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=15))
-    @settings(**COMMON)
-    def test_batch_matches_individual_calls(self, instance, raw_pairs):
-        space, matrix = instance
-        pairs = [(i % space.n, j % space.n) for i, j in raw_pairs]
-        batch_oracle = space.oracle()
-        batched = batch_oracle.batch(pairs)
-        single_oracle = space.oracle()
-        individual = [single_oracle(i, j) for i, j in pairs]
-        assert batched == individual
-        assert batch_oracle.calls == single_oracle.calls
-
     @given(metric_spaces(), st.floats(1.0, 3.0))
     @settings(**COMMON)
     def test_relaxed_tri_is_looser_but_sound(self, instance, c):
